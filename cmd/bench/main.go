@@ -25,8 +25,7 @@
 // The single-core and model-comparison sections intentionally use only
 // APIs that predate the batched-stream work (trace.Record,
 // trace.NewSliceStream, multicore.Run), so those sections measure any
-// older checkout for before/after comparisons; the hostpar section
-// additionally drives the internal/parsim engine (PR 4+ checkouts only).
+// older checkout for before/after comparisons.
 //
 // The -baseline gate's tolerance is configurable per runner: the
 // -tolerance flag wins, and the BENCH_TOLERANCE environment variable
@@ -58,7 +57,6 @@ import (
 	"repro/internal/multicore"
 	"repro/internal/obs"
 	"repro/internal/oneipc"
-	"repro/internal/parsim"
 	"repro/internal/sim"
 	"repro/internal/simrun"
 	"repro/internal/trace"
@@ -89,30 +87,6 @@ type MicroResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// HostParResult is one sequential-vs-parallel multi-core measurement:
-// the same interval-model multiprogram run on the sequential driver and
-// on the host-parallel engine (internal/parsim). The outputs are
-// bit-identical by construction (the tool verifies the cycle counts);
-// only the wall clock differs. As with every hostpar number, the
-// measured speedup only means parallel scaling when num_cpu in the
-// report header exceeds 1 — on a single-CPU runner it measures gate
-// overhead.
-type HostParResult struct {
-	Cores int `json:"cores"` // simulated cores
-	// Workload distinguishes the homogeneous copies rows ("" — one SPEC
-	// profile per core under per-thread offsets) from the heterogeneous
-	// "mix" row (one profile per core in its own v2 address-space slot,
-	// the simrun.Mix shape that ran sequentially before stream format v2).
-	Workload string  `json:"workload,omitempty"`
-	Stream   string  `json:"stream"` // "replay" or "generated"
-	HostPar  int     `json:"hostpar"`
-	Insts    uint64  `json:"insts"`
-	Cycles   int64   `json:"cycles"`
-	SeqMIPS  float64 `json:"seq_mips"`
-	ParMIPS  float64 `json:"par_mips"`
-	Speedup  float64 `json:"speedup"`
-}
-
 // TierResult is one row of the fidelity-tier accuracy smoke check: the
 // statistical engine's CPI against the full interval run of the same
 // scenario. The statistical tier is a culling estimate, not a
@@ -126,21 +100,17 @@ type TierResult struct {
 	RelErr         float64 `json:"rel_err"`
 }
 
-// Report is the BENCH_*.json schema. NumCPU qualifies every hostpar
-// number in the report: on a single-CPU host the parallel engine cannot
-// beat sequential, and Warnings says so explicitly.
+// Report is the BENCH_*.json schema.
 type Report struct {
-	Schema   string          `json:"schema"`
-	Go       string          `json:"go"`
-	NumCPU   int             `json:"num_cpu"`
-	Date     string          `json:"date"`
-	Warnings []string        `json:"warnings,omitempty"`
-	Params   Params          `json:"params"`
-	Models   []ModelResult   `json:"models"`
-	HostPar  []HostParResult `json:"hostpar,omitempty"`
-	Tiers    []TierResult    `json:"tiers,omitempty"`
-	Micro    []MicroResult   `json:"micro"`
-	Summary  Summary         `json:"summary"`
+	Schema  string        `json:"schema"`
+	Go      string        `json:"go"`
+	NumCPU  int           `json:"num_cpu"`
+	Date    string        `json:"date"`
+	Params  Params        `json:"params"`
+	Models  []ModelResult `json:"models"`
+	Tiers   []TierResult  `json:"tiers,omitempty"`
+	Micro   []MicroResult `json:"micro"`
+	Summary Summary       `json:"summary"`
 }
 
 // Params are the run sizes.
@@ -161,12 +131,6 @@ type Summary struct {
 	// IntervalAllocsPerInst is allocations per instruction in the
 	// interval-core steady-state micro-benchmark (must be 0).
 	IntervalAllocsPerInst int64 `json:"interval_allocs_per_inst"`
-	// HostParSpeedup8 is the parallel engine's wall-clock speedup over
-	// the sequential driver on the 8-simulated-core generated-stream
-	// interval run. On a single-CPU host this is at best ~1.0 (the
-	// engine cannot beat sequential without host cores to run on);
-	// num_cpu above says what the number means.
-	HostParSpeedup8 float64 `json:"hostpar_speedup_8core"`
 	// TierMaxRelErr is the worst statistical-vs-interval CPI relative
 	// error across the tier-accuracy rows; the tool fails when it
 	// exceeds -tier-tolerance.
@@ -182,7 +146,6 @@ func main() {
 		warmup   = flag.Int("warmup", 200_000, "functional warmup instructions per core")
 		reps     = flag.Int("reps", 5, "repetitions per measurement (best is reported)")
 		quick    = flag.Bool("quick", false, "small sizes for a smoke run")
-		hostpar  = flag.Int("hostpar", 4, "host-parallel engine setting for the sequential-vs-parallel section (0 skips the section)")
 		tierTol  = flag.Float64("tier-tolerance", 0.4, "allowed statistical-vs-interval CPI relative error in the tier-accuracy check (0 skips the section)")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON of the benchmark's simulation spans to this file")
 		obsCheck = flag.Bool("obs-overhead", false, "zero-overhead contract check: run only the interval replay set with observability disabled and gate its geomean against -baseline")
@@ -205,14 +168,7 @@ func main() {
 		Date:   time.Now().UTC().Format(time.RFC3339),
 		Params: Params{Insts: *insts, Warmup: *warmup, Reps: *reps},
 	}
-	// The host CPU count qualifies every hostpar number below, so say it
-	// up front — and loudly when there is nothing to scale onto.
 	fmt.Fprintf(os.Stderr, "bench: num_cpu=%d (go %s)\n", rep.NumCPU, rep.Go)
-	if rep.NumCPU == 1 && *hostpar > 0 {
-		w := "hostpar sections on a single-CPU host: speedups measure gate overhead, not parallel scaling"
-		rep.Warnings = append(rep.Warnings, w)
-		fmt.Fprintln(os.Stderr, "bench: WARNING", w)
-	}
 
 	// Single-core SPEC set: interval in both stream modes; detailed and
 	// one-IPC replayed for the model-speed comparison of Figures 9/10.
@@ -278,25 +234,6 @@ func main() {
 		func() []trace.Stream { return sliceStreams(ptr) }, nil)
 	rep.Models = append(rep.Models, modelResult("blackscholes4", "interval", "replay", 4, pres))
 
-	// Sequential vs host-parallel multi-core trajectory: the same
-	// interval-model multiprogram run (disjoint per-core address spaces,
-	// one SPEC profile per core) on both engines at 2/4/8 simulated
-	// cores, in both stream modes.
-	if *hostpar > 0 {
-		for _, cores := range []int{2, 4, 8} {
-			for _, mode := range []string{"replay", "generated"} {
-				r := hostparPoint(cores, mode, *insts, *reps, *hostpar)
-				rep.HostPar = append(rep.HostPar, r)
-				if cores == 8 && mode == "generated" {
-					rep.Summary.HostParSpeedup8 = r.Speedup
-				}
-			}
-		}
-		// Heterogeneous Mix row: one profile per core in its own
-		// address-space slot — parallelizable since stream format v2.
-		rep.HostPar = append(rep.HostPar, hostparMixPoint(4, *insts, *reps, *hostpar))
-	}
-
 	// Fidelity-tier accuracy smoke check: the statistical engine's CPI
 	// against the full interval run on a few single-program scenarios.
 	if *tierTol > 0 {
@@ -349,7 +286,7 @@ func main() {
 }
 
 // benchTracer, when -trace is set, collects spans from the sections
-// that run through instrumented drivers (hostpar, tier accuracy).
+// that run through instrumented drivers (tier accuracy).
 var benchTracer *obs.Tracer
 
 // writeTrace dumps the recorded spans as Chrome trace_event JSON.
@@ -420,114 +357,6 @@ func defaultTolerance() float64 {
 		fmt.Fprintf(os.Stderr, "bench: ignoring bad BENCH_TOLERANCE=%q (want a fraction in [0,1))\n", v)
 	}
 	return 0.20
-}
-
-// hostparMix is the per-core profile assignment of the hostpar section;
-// core i runs hostparMix[i%len] in its own thread slot (disjoint private
-// address spaces, the multiprogram configuration the engine accelerates).
-var hostparMix = []string{"gcc", "mcf", "swim", "vpr", "twolf", "parser", "art", "mesa"}
-
-// hostparPer is the per-core instruction budget of a hostpar cell.
-func hostparPer(cores, insts int) int {
-	per := insts / cores
-	if per < 10_000 {
-		per = 10_000
-	}
-	return per
-}
-
-// hostparPoint measures one (cores, stream-mode) cell of the sequential
-// vs host-parallel table: the homogeneous-copies shape (one SPEC profile
-// per core under per-thread offsets).
-func hostparPoint(cores int, mode string, insts, reps, hostpar int) HostParResult {
-	per := hostparPer(cores, insts)
-	var traces [][]isa.Inst
-	if mode == "replay" {
-		traces = make([][]isa.Inst, cores)
-		for i := range traces {
-			p := workload.SPECByName(hostparMix[i%len(hostparMix)])
-			traces[i] = trace.Record(workload.New(p, i, cores, 42), per)
-		}
-	}
-	streams := func() []trace.Stream {
-		if mode == "replay" {
-			return sliceStreams(traces)
-		}
-		out := make([]trace.Stream, cores)
-		for i := range out {
-			p := workload.SPECByName(hostparMix[i%len(hostparMix)])
-			out[i] = trace.NewLimit(workload.New(p, i, cores, 42), per)
-		}
-		return out
-	}
-	return hostparMeasure(HostParResult{Cores: cores, Stream: mode, HostPar: hostpar}, reps, streams)
-}
-
-// hostparMixPoint measures the heterogeneous Mix cell of the hostpar
-// table: core i runs a different SPEC profile at address-space slot i
-// with a per-core seed — the exact stream shape simrun.Mix generates,
-// which shared one address space (and therefore ran sequentially) before
-// stream format v2. Generated streams only: the row exists to show the
-// formerly-sequential configuration now runs on the parallel engine.
-func hostparMixPoint(cores, insts, reps, hostpar int) HostParResult {
-	per := hostparPer(cores, insts)
-	streams := func() []trace.Stream {
-		out := make([]trace.Stream, cores)
-		for i := range out {
-			p := workload.SPECByName(hostparMix[i%len(hostparMix)])
-			out[i] = trace.NewLimit(workload.NewSlot(p, 0, 1, int64(42+i), i), per)
-		}
-		return out
-	}
-	return hostparMeasure(HostParResult{Cores: cores, Workload: "mix", Stream: "generated", HostPar: hostpar}, reps, streams)
-}
-
-// hostparMeasure fills one hostpar table row: the same interval-model
-// run on the sequential driver and the parallel engine, best of reps on
-// each, with the cycle and retired counts cross-checked for
-// bit-identity (any divergence is a determinism break and fails the
-// tool). row carries the cell's identity fields; streams must rebuild
-// fresh streams per call (generators are stateful).
-func hostparMeasure(row HostParResult, reps int, streams func() []trace.Stream) HostParResult {
-	cfg := func() multicore.RunConfig {
-		return multicore.RunConfig{Machine: config.Default(row.Cores), Model: multicore.Interval, Trace: benchTracer}
-	}
-	var seq, par multicore.Result
-	for r := 0; r < reps; r++ {
-		if res := multicore.Run(cfg(), streams()); res.MIPS() > seq.MIPS() {
-			seq = res
-		}
-		res, ok := parsim.Run(cfg(), parsim.Config{}, streams())
-		if !ok {
-			fmt.Fprintf(os.Stderr, "bench: hostpar %s run aborted — disjoint multiprogram streams must not share lines\n", row.label())
-			os.Exit(1)
-		}
-		if res.MIPS() > par.MIPS() {
-			par = res
-		}
-	}
-	if seq.Cycles != par.Cycles || seq.TotalRetired != par.TotalRetired {
-		fmt.Fprintf(os.Stderr, "bench: hostpar %s determinism violation: seq %d cycles / %d insts, par %d cycles / %d insts\n",
-			row.label(), seq.Cycles, seq.TotalRetired, par.Cycles, par.TotalRetired)
-		os.Exit(1)
-	}
-	row.Insts = seq.TotalRetired
-	row.Cycles = seq.Cycles
-	row.SeqMIPS = seq.MIPS()
-	row.ParMIPS = par.MIPS()
-	if seq.MIPS() > 0 {
-		row.Speedup = par.MIPS() / seq.MIPS()
-	}
-	return row
-}
-
-// label names a hostpar cell in diagnostics.
-func (r HostParResult) label() string {
-	w := r.Workload
-	if w == "" {
-		w = "copies"
-	}
-	return fmt.Sprintf("%d-core %s %s", r.Cores, w, r.Stream)
 }
 
 // runBest runs the configuration reps times and returns the run with the

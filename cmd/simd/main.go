@@ -57,6 +57,12 @@ import (
 	"repro/internal/simrun"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers on both the service and the worker listener. There is
+// deliberately no WriteTimeout: SSE event streams and worker
+// /fleet/v1/run responses stay open for the length of a simulation.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
@@ -153,7 +159,7 @@ func main() {
 		handler = mux
 	}
 
-	httpServer := &http.Server{Addr: *addr, Handler: handler}
+	httpServer := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpServer.ListenAndServe() }()
@@ -248,7 +254,7 @@ func runWorker(ctx context.Context, o workerOpts) int {
 		return 2
 	}
 
-	httpServer := &http.Server{Addr: o.addr, Handler: w.Handler()}
+	httpServer := &http.Server{Addr: o.addr, Handler: w.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpServer.ListenAndServe() }()
 	loop := make(chan error, 1)

@@ -41,30 +41,8 @@ type Fabric interface {
 	ResetStats()
 }
 
-// Arbiter is the arbitration seam the host-parallel engine (package
-// parsim) plugs into the hierarchy. The hierarchy brackets every touch of
-// the globally shared structures — the L2, the coherence engine, the
-// fabric and DRAM — between Enter and Exit; the private per-core
-// structures (L1s, TLBs, MSHR, prefetcher tables) are never bracketed.
-//
-// Enter blocks until the calling core holds the exclusive right to commit
-// at its current global-order point, so concurrent cores mutate the shared
-// state in exactly the order the sequential driver would have produced.
-// Sharing reports a cross-core effect (a remote-L1 invalidation) that the
-// parallel engine cannot replay deterministically; the engine aborts the
-// run and the caller falls back to the sequential driver.
-//
-// A nil arbiter (the default) is the sequential mode: no bracketing, no
-// overhead beyond one nil check on the miss paths.
-type Arbiter interface {
-	Enter(core int)
-	Exit(core int)
-	Sharing()
-}
-
 // AccessStats are the hierarchy's access counters. They are kept per core
-// (each core increments only its own slot, including under parallel
-// stepping) and aggregated by Stats.
+// and aggregated by Stats.
 type AccessStats struct {
 	// InstAccesses and DataAccesses count I-side and D-side accesses.
 	InstAccesses uint64
@@ -160,11 +138,8 @@ type coreCaches struct {
 }
 
 // Hierarchy is the complete shared memory system for an N-core machine.
-// It is not safe for unconstrained concurrent use: the sequential drivers
-// call it from one goroutine, and the host-parallel engine may call it
-// from one goroutine per core only under the Arbiter discipline (each
-// core touches its own private structures; shared-structure sections are
-// serialized through the arbiter in global commit order).
+// It is not safe for concurrent use: the drivers call it from one
+// goroutine.
 type Hierarchy struct {
 	cfg     config.Memory
 	perfect Perfect
@@ -176,19 +151,9 @@ type Hierarchy struct {
 	busOnly *interconnect.Bus // non-nil when the fabric is the bus
 	dram    memory.MainMemory
 	dirLat  int64 // home-node lookup cost; zero for snooping protocols
-	arb     Arbiter
 
-	// stats holds one counter block per core so parallel stepping never
-	// races on a shared counter; totals are order-insensitive sums.
-	stats []paddedStats
-}
-
-// paddedStats keeps each core's counters on their own cache line: the
-// counters are bumped on every access (the hottest path), and under
-// parallel stepping neighbouring cores must not false-share a line.
-type paddedStats struct {
-	AccessStats
-	_ [3]uint64
+	// stats holds one counter block per core; totals are sums.
+	stats []AccessStats
 }
 
 // newProtocol selects the coherence engine by name, and returns the
@@ -269,7 +234,7 @@ func New(n int, cfg config.Memory, perfect Perfect) *Hierarchy {
 		busOnly: busOnly,
 		dram:    newMainMemory(cfg),
 		dirLat:  dirLat,
-		stats:   make([]paddedStats, n),
+		stats:   make([]AccessStats, n),
 	}
 	if cfg.HasL2 {
 		h.l2 = cache.New(cfg.L2)
@@ -292,21 +257,17 @@ func New(n int, cfg config.Memory, perfect Perfect) *Hierarchy {
 // Config returns the memory configuration.
 func (h *Hierarchy) Config() config.Memory { return h.cfg }
 
-// SetArbiter installs the parallel-stepping arbitration seam (nil restores
-// the sequential mode). Install it before simulation starts, never during.
-func (h *Hierarchy) SetArbiter(a Arbiter) { h.arb = a }
-
 // Stats returns the access counters summed over all cores.
 func (h *Hierarchy) Stats() AccessStats {
 	var out AccessStats
 	for i := range h.stats {
-		out.add(h.stats[i].AccessStats)
+		out.add(h.stats[i])
 	}
 	return out
 }
 
 // CoreStats returns core's own access counters.
-func (h *Hierarchy) CoreStats(core int) AccessStats { return h.stats[core].AccessStats }
+func (h *Hierarchy) CoreStats(core int) AccessStats { return h.stats[core] }
 
 // DRAM exposes the main-memory model (for bandwidth statistics).
 func (h *Hierarchy) DRAM() memory.MainMemory { return h.dram }
@@ -349,20 +310,13 @@ func (h *Hierarchy) Inst(core int, pc uint64, now int64) Result {
 	}
 	res.Miss = true
 	line := c.l1i.LineAddr(pc)
-	if h.arb != nil {
-		h.arb.Enter(core)
-		h.instMiss(core, line, now, &res)
-		h.arb.Exit(core)
-	} else {
-		h.instMiss(core, line, now, &res)
-	}
+	h.instMiss(core, line, now, &res)
 	c.l1i.Fill(line, false)
 	return res
 }
 
 // instMiss is the shared-structure section of an I-side L1 miss: the
-// fabric transaction and the L2/DRAM access. Under parallel stepping it
-// runs inside the arbiter bracket.
+// fabric transaction and the L2/DRAM access.
 func (h *Hierarchy) instMiss(core int, line uint64, now int64, res *Result) {
 	res.Latency += h.fab.AccessFrom(core, now)
 	if h.fetchL2(line, now+res.Latency, res) {
@@ -393,21 +347,8 @@ func (h *Hierarchy) Data(core int, addr uint64, write bool, now int64) Result {
 		// The stride table watches the whole access stream (hits keep
 		// the stride confirmed), so a covered stream keeps the
 		// prefetcher running ahead instead of retraining on every miss.
-		if targets := c.stride.observe(line, h.cfg.L1D.LineSize); len(targets) > 0 {
-			if h.arb != nil && !h.anyPrefetchNeeded(c, targets, now) {
-				// All targets are already resident or pending — purely
-				// private filters, so skip the ordering gate entirely.
-			} else {
-				if h.arb != nil {
-					h.arb.Enter(core)
-				}
-				for _, target := range targets {
-					h.prefetchLine(core, c, target, now)
-				}
-				if h.arb != nil {
-					h.arb.Exit(core)
-				}
-			}
+		for _, target := range c.stride.observe(line, h.cfg.L1D.LineSize) {
+			h.prefetchLine(core, c, target, now)
 		}
 	}
 	if hit, wasDirty := c.l1d.AccessRW(addr, write); hit {
@@ -415,17 +356,11 @@ func (h *Hierarchy) Data(core int, addr uint64, write bool, now int64) Result {
 		// already-dirty line are already Modified. Only clean write
 		// hits on a multi-core machine need an upgrade.
 		if write && !wasDirty && h.multi {
-			if h.arb != nil {
-				h.arb.Enter(core)
-			}
 			cres := h.coh.Write(core, line)
 			if cres.Invalidations > 0 {
 				res.Latency += int64(h.cfg.L2BusLatency) + h.dirLat
 			}
 			h.dropRemoteCopies(core, line, cres.Invalidations)
-			if h.arb != nil {
-				h.arb.Exit(core)
-			}
 		}
 		res.Kind = L1Hit
 		if res.TLBMiss {
@@ -434,20 +369,13 @@ func (h *Hierarchy) Data(core int, addr uint64, write bool, now int64) Result {
 		return res
 	}
 	res.Miss = true
-	if h.arb != nil {
-		h.arb.Enter(core)
-		h.dataMiss(core, c, line, write, now, &res)
-		h.arb.Exit(core)
-	} else {
-		h.dataMiss(core, c, line, write, now, &res)
-	}
+	h.dataMiss(core, c, line, write, now, &res)
 	return res
 }
 
 // dataMiss handles an L1D miss: MSHR merge, coherence transaction, fabric
-// and L2/DRAM access, fill and next-line prefetch. Everything below the
-// private L1 lives here, so under parallel stepping the whole section runs
-// inside one arbiter bracket.
+// and L2/DRAM access, fill and next-line prefetch: everything below the
+// private L1.
 func (h *Hierarchy) dataMiss(core int, c *coreCaches, line uint64, write bool, now int64, res *Result) {
 	// An outstanding miss on the same line means this access completes
 	// with the primary miss.
@@ -515,35 +443,14 @@ func (h *Hierarchy) dataMiss(core int, c *coreCaches, line uint64, write bool, n
 	}
 }
 
-// prefetchNeeded is prefetchLine's private filter (L1 presence, MSHR
-// pendings) — one definition shared by the issue path and the gate-skip
-// predicate, so the two can never drift apart.
-func prefetchNeeded(c *coreCaches, line uint64, now int64) bool {
-	if c.l1d.Probe(line) {
-		return false
-	}
-	if _, pending := c.mshr.Lookup(line, now); pending {
-		return false
-	}
-	return true
-}
-
-// anyPrefetchNeeded applies prefetchNeeded to the targets; when none
-// survives, the caller can skip the global ordering gate.
-func (h *Hierarchy) anyPrefetchNeeded(c *coreCaches, targets []uint64, now int64) bool {
-	for _, line := range targets {
-		if prefetchNeeded(c, line, now) {
-			return true
-		}
-	}
-	return false
-}
-
 // prefetchLine issues one prefetch of line into core's L1D after a demand
 // miss. Prefetches run off the critical path: they occupy the fabric and
 // DRAM bandwidth but add no latency to the demand access.
 func (h *Hierarchy) prefetchLine(core int, c *coreCaches, line uint64, now int64) {
-	if !prefetchNeeded(c, line, now) {
+	if c.l1d.Probe(line) {
+		return
+	}
+	if _, pending := c.mshr.Lookup(line, now); pending {
 		return
 	}
 	h.stats[core].Prefetches++
@@ -609,15 +516,6 @@ func (h *Hierarchy) dropRemoteCopies(core int, line uint64, invalidations int) {
 	if invalidations == 0 {
 		return
 	}
-	if h.arb != nil {
-		// A remote-L1 invalidation cannot be applied while the remote
-		// core steps concurrently (it may already have raced past this
-		// commit point). Flag the sharing violation — the parallel
-		// engine aborts and the run is redone sequentially — and leave
-		// the remote L1s alone; the aborted run's state is discarded.
-		h.arb.Sharing()
-		return
-	}
 	for i := range h.cores {
 		if i == core {
 			continue
@@ -643,7 +541,5 @@ func (h *Hierarchy) ResetStats() {
 	h.fab.ResetStats()
 	h.dram.ResetStats()
 	h.coh.ResetStats()
-	for i := range h.stats {
-		h.stats[i].AccessStats = AccessStats{}
-	}
+	clear(h.stats)
 }

@@ -185,11 +185,11 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 			warm = streams
 		}
 		wsp := cfg.Trace.Start("warmup").Arg("insts_per_core", int64(cfg.WarmupInsts))
-		warmup(mem, bps, warm, cfg.WarmupInsts)
+		Warmup(mem, bps, warm, cfg.WarmupInsts)
 		wsp.End()
 	}
 
-	cores := BuildCores(cfg, bps, mem, coord, streams)
+	cores := buildCores(cfg, bps, mem, coord, streams)
 
 	label := cfg.ModelName
 	if label == "" {
@@ -378,11 +378,10 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 	return res
 }
 
-// BuildCores constructs the per-core model instances for cfg: through the
+// buildCores constructs the per-core model instances for cfg: through the
 // NewCore factory hook when set, through the built-in model switch
-// otherwise. It is shared by the sequential driver and the host-parallel
-// engine (package parsim), so both build bit-identical machines.
-func BuildCores(cfg RunConfig, bps []*branch.Unit, mem *memhier.Hierarchy, coord sim.Syncer, streams []trace.Stream) []sim.Core {
+// otherwise.
+func buildCores(cfg RunConfig, bps []*branch.Unit, mem *memhier.Hierarchy, coord sim.Syncer, streams []trace.Stream) []sim.Core {
 	cores := make([]sim.Core, cfg.Machine.Cores)
 	for i := range cores {
 		bp := bps[i]
@@ -402,22 +401,6 @@ func BuildCores(cfg RunConfig, bps []*branch.Unit, mem *memhier.Hierarchy, coord
 		}
 	}
 	return cores
-}
-
-// Warmup functionally warms the caches, TLBs and branch predictors with n
-// instructions per core and clears statistics afterwards — the sequential
-// driver's warmup, exported so the host-parallel engine (package parsim)
-// warms the machine identically before parallel stepping begins.
-func Warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, n int) {
-	warmup(mem, bps, streams, n)
-}
-
-// FinishResult fills the per-core results and machine-level totals after
-// stepping ends: per-core retired counts, finish times (now for cores that
-// did not finish) and the machine-level cycle count. Exported for the
-// host-parallel engine, which assembles its Result the same way.
-func FinishResult(res *Result, cores []sim.Core, now int64) {
-	finishResult(res, cores, now)
 }
 
 // finishResult fills the per-core results and machine-level totals after
@@ -440,11 +423,11 @@ func finishResult(res *Result, cores []sim.Core, now int64) {
 	}
 }
 
-// warmup replays n instructions per core through the caches, TLBs and
+// Warmup replays n instructions per core through the caches, TLBs and
 // branch predictors without timing, then clears all statistics. This is
 // standard functional warming: the timed portion then measures steady-state
 // behaviour instead of cold-start misses.
-func warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, n int) {
+func Warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, n int) {
 	buf := make([]isa.Inst, 4096)
 	for i, s := range streams {
 		if i >= len(bps) {

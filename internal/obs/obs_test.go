@@ -219,21 +219,6 @@ func TestHeartbeatThrottle(t *testing.T) {
 	}
 }
 
-// TestContextSpan: StartSpan works through a context and no-ops
-// without one.
-func TestContextSpan(t *testing.T) {
-	tr := NewTracer(8)
-	ctx := ContextWith(t.Context(), tr)
-	StartSpan(ctx, "work").End()
-	if spans := tr.Spans(); len(spans) != 1 || spans[0].Name != "work" {
-		t.Fatalf("context span not recorded: %+v", spans)
-	}
-	StartSpan(t.Context(), "nowhere").End() // must not panic
-	if FromContext(t.Context()) != nil {
-		t.Fatal("empty context returned a tracer")
-	}
-}
-
 // The zero-cost contract, measured: disabled (nil) hooks must compile
 // down to a nil check and nothing else. cmd/bench -obs-overhead gates
 // the macro version of this against the checked-in baseline.

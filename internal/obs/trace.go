@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -44,8 +43,8 @@ type Tracer struct {
 }
 
 // DefaultSpanCap bounds the span ring when NewTracer is given no
-// capacity: enough for the full lifecycle of a job plus thousands of
-// parsim epoch spans.
+// capacity: enough for the full lifecycle of a job, or of a whole
+// sweep's driver phases.
 const DefaultSpanCap = 4096
 
 // NewTracer builds a tracer with a bounded span ring (capacity <= 0
@@ -108,7 +107,7 @@ func (t *Tracer) Start(name string) *Span {
 	return &Span{t: t, name: name, start: time.Now()}
 }
 
-// TID assigns the span to a track (a simulated core, a worker).
+// TID assigns the span to a track (e.g. a fleet worker's row).
 func (s *Span) TID(id int) *Span {
 	if s != nil {
 		s.tid = id
@@ -319,29 +318,4 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		events = append(events, chromeEvent{Name: s.Name, Ph: "X", TS: s.StartUS, Dur: s.DurUS, PID: 1, TID: s.TID, Args: args})
 	}
 	return json.NewEncoder(w).Encode(map[string]any{"traceEvents": events})
-}
-
-// tracerKey carries a *Tracer through a context.
-type tracerKey struct{}
-
-// ContextWith returns a context carrying the tracer.
-func ContextWith(ctx context.Context, t *Tracer) context.Context {
-	if t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, tracerKey{}, t)
-}
-
-// FromContext extracts the context's tracer (nil when absent — and a
-// nil tracer no-ops, so callers never branch).
-func FromContext(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(tracerKey{}).(*Tracer)
-	return t
-}
-
-// StartSpan opens a span on the context's tracer: the one-liner form
-// obs.StartSpan(ctx, "cache:store") for code that already threads a
-// context. No-op (nil span) when the context carries no tracer.
-func StartSpan(ctx context.Context, name string) *Span {
-	return FromContext(ctx).Start(name)
 }

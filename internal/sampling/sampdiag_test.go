@@ -9,29 +9,17 @@ import (
 	"repro/internal/workload"
 )
 
-func TestDiagnosePerUnit(t *testing.T) {
-	p := workload.SPECByName("gcc")
-	m := config.Default(1)
-	src := workload.New(p, 0, 1, 1042)
-	cfg := Config{Unit: 10_000, Period: 20_000, InitialWarmup: 200_000,
-		Model: multicore.Interval, Machine: m}
-	// Replicate Run but log per-unit IPC.
-	res, err := RunDebug(cfg, src, 200_000, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("aggregate %.3f", res.SampledIPC)
-}
-
 func TestDiagnoseSameRange(t *testing.T) {
 	p := workload.SPECByName("gcc")
 	m := config.Default(1)
-	t.Log("contiguous units:")
-	RunDebug(Config{Unit: 10_000, Period: 10_000, Model: multicore.Interval, Machine: m},
-		workload.New(p, 0, 1, 42), 60_000, t.Logf)
-	t.Log("skipping units (every other 10k):")
-	RunDebug(Config{Unit: 10_000, Period: 20_000, Model: multicore.Interval, Machine: m},
-		workload.New(p, 0, 1, 42), 60_000, t.Logf)
+	for _, period := range []int{10_000, 20_000} {
+		res, err := Run(Config{Unit: 10_000, Period: period, Model: multicore.Interval, Machine: m},
+			workload.New(p, 0, 1, 42), 60_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("period=%d: IPC=%.3f units=%d", period, res.SampledIPC, res.Units)
+	}
 }
 
 func TestDiagnoseDetailedSampled(t *testing.T) {

@@ -42,8 +42,6 @@ type Config struct {
 	Model multicore.Model
 	// Machine is the simulated hardware (single core).
 	Machine config.Machine
-
-	perUnit func(string, ...any) // test hook
 }
 
 // Result summarizes a sampled run.
@@ -63,13 +61,6 @@ func (r Result) Ratio() float64 {
 		return 0
 	}
 	return float64(r.TimedInsts) / float64(r.TotalInsts)
-}
-
-// RunDebug is Run with a per-unit logging hook (diagnostics/tests).
-func RunDebug(cfg Config, src trace.Stream, total int, logf func(string, ...any)) (Result, error) {
-	cfg2 := cfg
-	cfg2.perUnit = logf
-	return Run(cfg2, src, total)
 }
 
 // Run performs sampled simulation of up to total instructions from src.
@@ -147,14 +138,6 @@ func Run(cfg Config, src trace.Stream, total int) (Result, error) {
 			now++
 		}
 		res.Units += (int(c.Retired()) + cfg.Unit - 1) / cfg.Unit
-		if cfg.perUnit != nil {
-			cfg.perUnit("unit %d: retired=%d cycles=%d ipc=%.3f",
-				res.Units, c.Retired(), c.FinishTime(),
-				float64(c.Retired())/float64(c.FinishTime()))
-			if ic, ok := c.(*core.Core); ok {
-				cfg.perUnit("%s", ic.Stack())
-			}
-		}
 		cyclesSum += uint64(c.FinishTime())
 		instsSum += c.Retired()
 		consumed += int(c.Retired())

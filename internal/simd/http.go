@@ -73,9 +73,20 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxSpecBytes caps a POST /v1/jobs body. A scenario spec is a few
+// hundred bytes (a full machine override a few KiB), so the cap only
+// ever stops garbage from being buffered.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := simrun.ParseSpec(r.Body)
+	spec, err := simrun.ParseSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("simd: spec body exceeds the %d MiB limit", maxSpecBytes>>20))
+			return
+		}
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -235,7 +246,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the Prometheus text exposition: the server's own
 // registry (service traffic, queue occupancy, result-cache counters)
 // merged with the process-wide registry (per-engine runs and wall-clock
-// histograms, parsim counters, batch occupancy). Every family carries a
+// histograms, batch occupancy). Every family carries a
 // correct `# TYPE` line — the registry knows each metric's kind, unlike
 // the hand-rolled exporter this replaced.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

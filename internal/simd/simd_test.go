@@ -167,6 +167,10 @@ func TestSubmitValidation(t *testing.T) {
 		// rejected, not silently renumbered.
 		"stale version v1": `{"bench":"gcc","version":1}`,
 		"stale version v2": `{"bench":"gcc","version":2}`,
+		// The host-parallel engine's fields were removed from the wire
+		// format; a client still sending them must hear about it.
+		"removed hostpar": `{"bench":"gcc","copies":2,"hostpar":2}`,
+		"removed quantum": `{"bench":"gcc","copies":2,"quantum":1000}`,
 	} {
 		if _, status := postJob(t, ts, spec); status != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, status)
@@ -206,6 +210,33 @@ func TestSubmitStaleVersionMessage(t *testing.T) {
 		if !strings.Contains(body.Error, want) {
 			t.Errorf("rejection body missing %q: %s", want, body.Error)
 		}
+	}
+}
+
+// TestSubmitOversizedBody: a spec body past the 1 MiB cap is refused
+// with 413 and a message naming the cap, without queueing anything.
+func TestSubmitOversizedBody(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	spec := `{"bench":"gcc","label":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(body.Error, "1 MiB") {
+		t.Errorf("rejection body does not name the cap: %s", body.Error)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("oversized spec queued %d jobs", len(jobs))
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/memhier"
 	"repro/internal/multicore"
 	"repro/internal/obs"
-	"repro/internal/parsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -41,8 +40,8 @@ func (s *Scenario) buildStreams() (streams, warm []trace.Stream) {
 		// program instance with a per-core seed, instantiated at its
 		// core's address-space slot (stream format v2). Copies of
 		// different programs therefore never alias cache lines, so the
-		// mix models true multi-programming — no phantom coherence
-		// traffic — and the host-parallel engine can run it. The warmup
+		// mix models true multi-programming with no phantom coherence
+		// traffic. The warmup
 		// twin must live in the same slot as its measured stream or it
 		// would warm the wrong lines.
 		for i := 0; i < n; i++ {
@@ -103,9 +102,8 @@ func (s *Scenario) Run(ctx context.Context) (Result, error) {
 // the engine (or the core models underneath it) fails this one run with
 // the recovered value and stack in the error, instead of taking down
 // the whole process — a batch keeps its other scenarios, a service
-// worker keeps serving. (A panic on another goroutine — e.g. inside a
-// parsim per-core worker — still crashes the process; the fleet layer
-// exists to survive exactly that.)
+// worker keeps serving. (A panic on another goroutine still crashes the
+// process; the fleet layer exists to survive exactly that.)
 func runIsolated(ctx context.Context, eng EngineDef, s *Scenario) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -170,24 +168,6 @@ func (s *Scenario) runFull(ctx context.Context) (Result, error) {
 			})
 		},
 	}
-	if s.useHostParallel() {
-		pres, ok := parsim.Run(cfg, parsim.Config{Quantum: s.quantum}, streams)
-		if ok {
-			res := Result{Scenario: s, Result: pres}
-			if res.Interrupted {
-				return res, ctx.Err()
-			}
-			return res, nil
-		}
-		// The workload's threads share lines or synchronize: the
-		// parallel run aborted before committing anything the caller
-		// can see. Rerun sequentially from fresh streams (generators
-		// are stateful), which reproduces the canonical result.
-		obsMetrics()
-		mFallbacks.Inc()
-		streams, warm = s.buildStreams()
-		cfg.Warmup = warm
-	}
 	res := Result{Scenario: s, Result: multicore.Run(cfg, streams)}
 	if res.Interrupted {
 		return res, ctx.Err()
@@ -212,30 +192,4 @@ func (s *Scenario) heartbeat() *obs.Heartbeat {
 		Tier:   string(fullTier(s)),
 		Budget: s.TotalInstBudget(),
 	}
-}
-
-// useHostParallel reports whether the scenario should attempt the
-// host-parallel engine: HostParallel was requested, there is more than
-// one simulated core, the streams can be rebuilt for a fallback (not
-// explicit Streams), the core model is one of the built-ins (the
-// engine's per-core schedule is proven equivalent to the sequential
-// driver's for those; registered custom models get no such guarantee, so
-// they run sequentially), and the workload is not one that is certain to
-// abort (PARSEC-style multi-threaded profiles synchronize from the
-// start). Multiprogram scenarios — homogeneous Copies and, since stream
-// format v2 gave each copy a disjoint address-space slot, heterogeneous
-// Mix — run parallel to completion.
-func (s *Scenario) useHostParallel() bool {
-	if s.hostpar <= 0 || s.Threads() <= 1 || s.streams != nil {
-		return false
-	}
-	switch s.model {
-	case "interval", "detailed", "oneipc":
-	default:
-		return false
-	}
-	if s.profile != nil && s.profile.MultiThreaded() {
-		return false
-	}
-	return true
 }

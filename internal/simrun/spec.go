@@ -48,14 +48,6 @@ type Spec struct {
 	WorkScale float64 `json:"work_scale,omitempty"`
 	MaxCycles int64   `json:"max_cycles,omitempty"`
 
-	// HostPar requests the host-parallel deterministic engine (0 =
-	// sequential); Quantum tunes its epoch length. Both are
-	// host-execution knobs: results are bit-identical either way, so
-	// they do not enter the scenario fingerprint and cached results are
-	// shared across settings.
-	HostPar int   `json:"hostpar,omitempty"`
-	Quantum int64 `json:"quantum,omitempty"`
-
 	Fabric    string `json:"fabric,omitempty"`
 	Coherence string `json:"coherence,omitempty"`
 	DRAM      string `json:"dram,omitempty"`
@@ -112,12 +104,6 @@ func (sp Spec) Options() []Option {
 	}
 	if sp.MaxCycles != 0 {
 		opts = append(opts, MaxCycles(sp.MaxCycles))
-	}
-	if sp.HostPar != 0 {
-		opts = append(opts, HostParallel(sp.HostPar))
-	}
-	if sp.Quantum != 0 {
-		opts = append(opts, EpochQuantum(sp.Quantum))
 	}
 	if sp.Machine != nil {
 		opts = append(opts, Machine(*sp.Machine))
@@ -227,12 +213,6 @@ func (sp Spec) merge(def Spec) Spec {
 	}
 	if out.MaxCycles == 0 {
 		out.MaxCycles = def.MaxCycles
-	}
-	if out.HostPar == 0 {
-		out.HostPar = def.HostPar
-	}
-	if out.Quantum == 0 {
-		out.Quantum = def.Quantum
 	}
 	if out.Fabric == "" {
 		out.Fabric = def.Fabric

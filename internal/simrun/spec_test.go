@@ -54,18 +54,31 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 }
 
 func TestSpecScenarioValidates(t *testing.T) {
-	for name, raw := range map[string]string{
-		"bench":  `{"bench":"no-such-benchmark"}`,
-		"model":  `{"bench":"gcc","model":"quantum"}`,
-		"fabric": `{"bench":"gcc","fabric":"torus"}`,
-		"cores":  `{"bench":"gcc","cores":-1}`,
+	for _, tc := range []struct {
+		name, raw string
+		atParse   bool // rejected by ParseSpec rather than Scenario
+	}{
+		{"bench", `{"bench":"no-such-benchmark"}`, false},
+		{"model", `{"bench":"gcc","model":"quantum"}`, false},
+		{"fabric", `{"bench":"gcc","fabric":"torus"}`, false},
+		{"cores", `{"bench":"gcc","cores":-1}`, false},
+		// The host-parallel engine's knobs were removed from the wire
+		// format; specs still carrying them fail loudly.
+		{"hostpar", `{"bench":"gcc","copies":2,"hostpar":2}`, true},
+		{"quantum", `{"bench":"gcc","copies":2,"quantum":1000}`, true},
 	} {
-		spec, err := ParseSpec(strings.NewReader(raw))
+		spec, err := ParseSpec(strings.NewReader(tc.raw))
+		if tc.atParse {
+			if err == nil {
+				t.Errorf("%s: removed field in %s was accepted", tc.name, tc.raw)
+			}
+			continue
+		}
 		if err != nil {
-			t.Fatalf("%s: parse: %v", name, err)
+			t.Fatalf("%s: parse: %v", tc.name, err)
 		}
 		if _, err := spec.Scenario(); err == nil {
-			t.Errorf("%s: invalid spec %s built a scenario", name, raw)
+			t.Errorf("%s: invalid spec %s built a scenario", tc.name, tc.raw)
 		}
 	}
 }
