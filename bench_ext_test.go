@@ -314,7 +314,7 @@ func BenchmarkSimPoint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		est, err := sampling.EstimateIPC(insts, sp, m, multicore.Interval)
+		est, err := sampling.EstimateIPC(insts, sp, multicore.RunConfig{Machine: m, Model: multicore.Interval})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -56,7 +56,6 @@ import (
 	"repro/internal/memhier"
 	"repro/internal/multicore"
 	"repro/internal/obs"
-	"repro/internal/oneipc"
 	"repro/internal/sim"
 	"repro/internal/simrun"
 	"repro/internal/trace"
@@ -195,14 +194,11 @@ func main() {
 		// Fixed order so regenerated reports diff cleanly; the slower
 		// comparison models run fewer repetitions.
 		const compareReps = 2
-		for _, mc := range []struct {
-			model multicore.Model
-			label string
-		}{{multicore.Detailed, "detailed"}, {multicore.OneIPC, "oneipc"}} {
-			d := runBest(compareReps, mc.model, 1, *warmup,
+		for _, model := range []multicore.Model{multicore.Detailed, multicore.OneIPC} {
+			d := runBest(compareReps, model, 1, *warmup,
 				func() []trace.Stream { return []trace.Stream{trace.NewSliceStream(tr)} },
 				func() []trace.Stream { return []trace.Stream{trace.NewSliceStream(wtr)} })
-			rep.Models = append(rep.Models, modelResult(name, mc.label, "replay", 1, d))
+			rep.Models = append(rep.Models, modelResult(name, model.String(), "replay", 1, d))
 		}
 	}
 
@@ -420,7 +416,7 @@ func microBenchmarks() ([]MicroResult, int64) {
 		p := workload.SPECByName("mesa")
 		mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
 		bp := branch.NewUnit(m.Branch)
-		c := core.New(0, m.Core, bp, mem, workload.New(p, 0, 1, 42), sim.NullSyncer{})
+		c := multicore.NewCore(multicore.Interval, 0, m.Core, core.Options{}, bp, mem, workload.New(p, 0, 1, 42), sim.NullSyncer{})
 		// Enter steady state before counting.
 		var now int64
 		for c.Retired() < 10_000 {
@@ -440,7 +436,7 @@ func microBenchmarks() ([]MicroResult, int64) {
 		m := config.Default(1)
 		p := workload.SPECByName("mesa")
 		mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true, DSide: true})
-		c := oneipc.New(0, mem, workload.New(p, 0, 1, 42), sim.NullSyncer{})
+		c := multicore.NewCore(multicore.OneIPC, 0, m.Core, core.Options{}, nil, mem, workload.New(p, 0, 1, 42), sim.NullSyncer{})
 		b.ReportAllocs()
 		b.ResetTimer()
 		var now int64

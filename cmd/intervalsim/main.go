@@ -21,6 +21,7 @@ import (
 	"syscall"
 
 	"repro/internal/core"
+	"repro/internal/multicore"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/report"
@@ -50,7 +51,7 @@ func writeTrace(path string, tr *obs.Tracer) error {
 func run() int {
 	var (
 		bench  = flag.String("bench", "", "benchmark profile name")
-		model  = flag.String("model", "interval", "core model: "+strings.Join(simrun.Models(), ", "))
+		model  = flag.String("model", "interval", "core model: "+strings.Join(multicore.Models(), ", "))
 		cores  = flag.Int("cores", 1, "cores (threads for PARSEC profiles)")
 		copies = flag.Int("copies", 0, "run N copies of a SPEC profile (multi-program)")
 		insts  = flag.Int("insts", 100_000, "per-thread instruction budget for SPEC profiles")
@@ -187,7 +188,7 @@ func run() int {
 		return exit
 	}
 
-	fmt.Printf("benchmark=%s model=%s cores=%d\n", *bench, res.ModelLabel(), s.Threads())
+	fmt.Printf("benchmark=%s model=%s cores=%d\n", *bench, res.Model, s.Threads())
 	fmt.Printf("cycles=%d total-instructions=%d wall=%v (%.2f MIPS)\n",
 		res.Cycles, res.TotalRetired, res.Wall, res.MIPS())
 	for i, c := range res.Cores {

@@ -363,7 +363,7 @@ func (s *sweeper) sweepFile(path string) {
 			ipc = float64(res.TotalRetired) / float64(res.Cycles)
 		}
 		fmt.Printf("%-28s %-10s %6d %12d %10.3f\n",
-			r.Scenario.Name(), res.ModelLabel(), r.Scenario.Threads(), res.Cycles, ipc)
+			r.Scenario.Name(), res.Model, r.Scenario.Threads(), res.Cycles, ipc)
 	}
 }
 

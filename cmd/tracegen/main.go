@@ -121,5 +121,5 @@ func replayTrace(path, model string) {
 		os.Exit(1)
 	}
 	fmt.Printf("model=%s instructions=%d cycles=%d IPC=%.3f wall=%v (%.2f MIPS)\n",
-		res.ModelLabel(), res.TotalRetired, res.Cycles, res.Cores[0].IPC, res.Wall, res.MIPS())
+		res.Model, res.TotalRetired, res.Cycles, res.Cores[0].IPC, res.Wall, res.MIPS())
 }

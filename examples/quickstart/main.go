@@ -29,7 +29,7 @@ func main() {
 			panic(err)
 		}
 		fmt.Printf("%-9s IPC=%.3f cycles=%-8d wall=%-12v %.2f MIPS\n",
-			res.ModelLabel(), res.Cores[0].IPC, res.Cycles, res.Wall, res.MIPS())
+			res.Model, res.Cores[0].IPC, res.Cycles, res.Wall, res.MIPS())
 	}
 
 	fmt.Println()

@@ -52,7 +52,7 @@ func main() {
 
 	// 2. Time only the representatives and compare with the full run.
 	m := config.Default(1)
-	est, err := sampling.EstimateIPC(insts, sp, m, multicore.Interval)
+	est, err := sampling.EstimateIPC(insts, sp, multicore.RunConfig{Machine: m, Model: multicore.Interval})
 	if err != nil {
 		panic(err)
 	}

@@ -98,15 +98,11 @@ func simpointRun(ctx context.Context, s *simrun.Scenario) (simrun.Result, error)
 		return simrun.Result{}, fmt.Errorf("engine: simpoint: %w", err)
 	}
 
-	machine, err := s.ResolvedMachine()
+	cfg, err := s.RunConfig()
 	if err != nil {
 		return simrun.Result{}, err
 	}
-	model := multicore.Interval
-	if s.ModelName() == "detailed" {
-		model = multicore.Detailed
-	}
-	ipc, err := sampling.EstimateIPCSkip(openStream, sp, simpointWarm, machine, model)
+	ipc, err := sampling.EstimateIPCSkip(openStream, sp, simpointWarm, cfg)
 	if err != nil {
 		return simrun.Result{}, fmt.Errorf("engine: simpoint: %w", err)
 	}
@@ -116,8 +112,7 @@ func simpointRun(ctx context.Context, s *simrun.Scenario) (simrun.Result, error)
 
 	cycles := int64(float64(budget)/ipc + 0.5)
 	return simrun.Result{Result: multicore.Result{
-		Model:        model,
-		ModelName:    s.ModelName(),
+		Model:        cfg.Model,
 		Cycles:       cycles,
 		Cores:        []multicore.CoreResult{{Retired: uint64(budget), Finish: cycles, IPC: ipc}},
 		TotalRetired: uint64(budget),

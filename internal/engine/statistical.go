@@ -90,14 +90,16 @@ func statisticalRun(ctx context.Context, s *simrun.Scenario) (simrun.Result, err
 	clone := statsim.NewClone(prof, statCloneLen, seed)
 	warmTwin := statsim.NewClone(prof, statWarmCloneLen, seed+1)
 
-	machine, err := s.ResolvedMachine()
+	cfg, err := s.RunConfig()
 	if err != nil {
 		return simrun.Result{}, err
 	}
 	sub, err := simrun.New("",
 		simrun.Streams([]trace.Stream{clone}, []trace.Stream{warmTwin}),
 		simrun.Model(s.ModelName()),
-		simrun.Machine(machine),
+		simrun.Machine(cfg.Machine),
+		simrun.Perfect(cfg.Perfect),
+		simrun.Ablation(cfg.Ablation),
 		simrun.Warmup(statWarmCloneLen),
 		simrun.Label(s.Name()+" (statistical clone)"),
 	)
@@ -117,7 +119,6 @@ func statisticalRun(ctx context.Context, s *simrun.Scenario) (simrun.Result, err
 	cycles := int64(float64(budget)/ipc + 0.5)
 	return simrun.Result{Result: multicore.Result{
 		Model:        res.Model,
-		ModelName:    res.ModelName,
 		Cycles:       cycles,
 		Cores:        []multicore.CoreResult{{Retired: uint64(budget), Finish: cycles, IPC: ipc}},
 		TotalRetired: uint64(budget),

@@ -73,6 +73,29 @@ const (
 	PathStatus = "/fleet/v1/status"
 )
 
+// MaxBodyBytes caps every request body the fleet decodes: the control
+// plane's register, heartbeat and deregister messages and the worker's
+// run spec. Each is a few hundred bytes (a spec with a full machine
+// override a few KiB), so the cap only ever stops garbage from being
+// buffered; an oversized body is answered 413.
+const MaxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most MaxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+}
+
+// badBody answers a request whose body failed to decode or validate:
+// 413 when err is the body cap, 400 with msg otherwise.
+func badBody(w http.ResponseWriter, err error, msg string) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("fleet: request body exceeds the %d-byte limit", MaxBodyBytes), http.StatusRequestEntityTooLarge)
+		return
+	}
+	http.Error(w, msg, http.StatusBadRequest)
+}
+
 // Result-delivery headers: the fidelity tier of the payload and its
 // SHA-256, computed by the worker before the bytes hit the wire so the
 // coordinator can reject deliveries corrupted in transit.
@@ -279,8 +302,8 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var reg registration
-	if err := json.NewDecoder(r.Body).Decode(&reg); err != nil || reg.ID == "" || reg.URL == "" {
-		http.Error(w, "fleet: register wants {id, url}", http.StatusBadRequest)
+	if err := decodeBody(w, r, &reg); err != nil || reg.ID == "" || reg.URL == "" {
+		badBody(w, err, "fleet: register wants {id, url}")
 		return
 	}
 	c.mu.Lock()
@@ -296,8 +319,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb heartbeat
-	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil || hb.ID == "" {
-		http.Error(w, "fleet: heartbeat wants {id}", http.StatusBadRequest)
+	if err := decodeBody(w, r, &hb); err != nil || hb.ID == "" {
+		badBody(w, err, "fleet: heartbeat wants {id}")
 		return
 	}
 	c.mu.Lock()
@@ -319,8 +342,8 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var hb heartbeat
-	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil || hb.ID == "" {
-		http.Error(w, "fleet: deregister wants {id}", http.StatusBadRequest)
+	if err := decodeBody(w, r, &hb); err != nil || hb.ID == "" {
+		badBody(w, err, "fleet: deregister wants {id}")
 		return
 	}
 	c.mu.Lock()

@@ -448,3 +448,35 @@ func TestRendezvousSharding(t *testing.T) {
 		t.Errorf("32 keys all sharded onto one worker: %v", seen)
 	}
 }
+
+// TestOversizedBodiesRejected: every endpoint that decodes a request
+// body stops reading at MaxBodyBytes and answers 413, on the
+// coordinator's control plane and the worker's data plane alike.
+func TestOversizedBodiesRejected(t *testing.T) {
+	c := newCluster(t, fleet.Config{LeaseTTL: time.Hour})
+	n := startWorker(t, c, "w", nil)
+	// One JSON string longer than the cap: the decoder has to read past
+	// the cap before it could judge the document.
+	big := `{"id":"` + strings.Repeat("a", fleet.MaxBodyBytes) + `"}`
+	for _, tc := range []struct{ name, url string }{
+		{"register", c.srv.URL + fleet.PathRegister},
+		{"heartbeat", c.srv.URL + fleet.PathHeartbeat},
+		{"deregister", c.srv.URL + fleet.PathDeregister},
+		{"run", n.srv.URL + fleet.PathRun},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(tc.url, "application/json", strings.NewReader(big))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("status %d, want 413", resp.StatusCode)
+			}
+		})
+	}
+	// The worker survived the oversized run request: still registered.
+	if ids := c.coord.WorkerIDs(); len(ids) != 1 || ids[0] != "w" {
+		t.Errorf("workers after oversized bodies = %v, want [w]", ids)
+	}
+}

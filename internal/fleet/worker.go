@@ -147,10 +147,10 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	w.mRuns.Inc()
-	spec, err := simrun.ParseSpec(r.Body)
+	spec, err := simrun.ParseSpec(http.MaxBytesReader(rw, r.Body, MaxBodyBytes))
 	if err != nil {
 		w.mRunErrors.Inc()
-		http.Error(rw, err.Error(), http.StatusBadRequest)
+		badBody(rw, err, err.Error())
 		return
 	}
 	sc, err := spec.Scenario()

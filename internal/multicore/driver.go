@@ -17,43 +17,9 @@ import (
 	"repro/internal/memhier"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/oneipc"
-	"repro/internal/ooo"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// Model selects the core timing model.
-type Model int
-
-const (
-	// Detailed is the cycle-level out-of-order baseline.
-	Detailed Model = iota
-	// Interval is the paper's analytical model.
-	Interval
-	// OneIPC is the naive one-instruction-per-cycle ablation model.
-	OneIPC
-)
-
-// String names the model.
-func (m Model) String() string {
-	switch m {
-	case Detailed:
-		return "detailed"
-	case Interval:
-		return "interval"
-	case OneIPC:
-		return "one-ipc"
-	default:
-		return fmt.Sprintf("model(%d)", int(m))
-	}
-}
-
-// CoreFactory constructs the core model instance for core i. It receives
-// the per-core front-end and stream plus the shared memory hierarchy and
-// synchronization coordinator; everything else (machine config, ablation
-// switches) is expected to be captured by the closure.
-type CoreFactory func(i int, bp *branch.Unit, mem *memhier.Hierarchy, stream trace.Stream, coord sim.Syncer) sim.Core
 
 // RunConfig describes one simulation run.
 type RunConfig struct {
@@ -62,14 +28,6 @@ type RunConfig struct {
 	Machine config.Machine
 	// Model selects the core timing model.
 	Model Model
-	// NewCore, when non-nil, overrides Model: the driver builds each core
-	// through it instead of the built-in enum switch. This is the hook
-	// the simrun model registry plugs into, so new core models need no
-	// driver changes.
-	NewCore CoreFactory
-	// ModelName labels Result.ModelName (defaults to Model.String());
-	// set it alongside NewCore so reports name the registered model.
-	ModelName string
 	// Interrupt, when non-nil, aborts the run early once the channel is
 	// closed (or receives). The driver polls it periodically; an
 	// interrupted run returns with Result.Interrupted set and whatever
@@ -120,9 +78,6 @@ type CoreResult struct {
 // Result is the outcome of one multi-core run.
 type Result struct {
 	Model Model
-	// ModelName is the display name of the core model: RunConfig.ModelName
-	// when set (registered models), Model.String() otherwise.
-	ModelName string
 	// Cycles is the machine-level execution time: the time the last
 	// thread finished.
 	Cycles int64
@@ -141,15 +96,6 @@ type Result struct {
 	// Mem is the memory hierarchy when RunConfig.KeepCores is set (for
 	// post-run statistics reporting).
 	Mem *memhier.Hierarchy
-}
-
-// ModelLabel names the core model for display: ModelName when set, the
-// enum name otherwise (so hand-built Results keep working).
-func (r Result) ModelLabel() string {
-	if r.ModelName != "" {
-		return r.ModelName
-	}
-	return r.Model.String()
 }
 
 // MIPS returns simulated instructions per host second in millions.
@@ -191,11 +137,7 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 
 	cores := buildCores(cfg, bps, mem, coord, streams)
 
-	label := cfg.ModelName
-	if label == "" {
-		label = cfg.Model.String()
-	}
-	res := Result{Model: cfg.Model, ModelName: label, Cores: make([]CoreResult, len(cores))}
+	res := Result{Model: cfg.Model, Cores: make([]CoreResult, len(cores))}
 
 	// The TimeSkipper capability is asserted once per core here, not once
 	// per core per cycle in the skip loop below.
@@ -378,27 +320,11 @@ func Run(cfg RunConfig, streams []trace.Stream) Result {
 	return res
 }
 
-// buildCores constructs the per-core model instances for cfg: through the
-// NewCore factory hook when set, through the built-in model switch
-// otherwise.
+// buildCores constructs the per-core model instances for cfg.
 func buildCores(cfg RunConfig, bps []*branch.Unit, mem *memhier.Hierarchy, coord sim.Syncer, streams []trace.Stream) []sim.Core {
 	cores := make([]sim.Core, cfg.Machine.Cores)
 	for i := range cores {
-		bp := bps[i]
-		if cfg.NewCore != nil {
-			cores[i] = cfg.NewCore(i, bp, mem, streams[i], coord)
-			continue
-		}
-		switch cfg.Model {
-		case Detailed:
-			cores[i] = ooo.New(i, cfg.Machine.Core, bp, mem, streams[i], coord)
-		case Interval:
-			cores[i] = core.NewWithOptions(i, cfg.Machine.Core, cfg.Ablation, bp, mem, streams[i], coord)
-		case OneIPC:
-			cores[i] = oneipc.New(i, mem, streams[i], coord)
-		default:
-			panic("multicore: unknown model")
-		}
+		cores[i] = NewCore(cfg.Model, i, cfg.Machine.Core, cfg.Ablation, bps[i], mem, streams[i], coord)
 	}
 	return cores
 }

@@ -88,7 +88,7 @@ type CoherenceSummary struct {
 // Summarize extracts the machine-readable summary from a run result.
 func Summarize(res multicore.Result) Summary {
 	s := Summary{
-		Model:        res.ModelLabel(),
+		Model:        res.Model.String(),
 		Cycles:       res.Cycles,
 		Instructions: res.TotalRetired,
 		TimedOut:     res.TimedOut,

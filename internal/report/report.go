@@ -19,7 +19,7 @@ import (
 func Format(res multicore.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "model=%s cycles=%d instructions=%d wall=%v (%.2f MIPS)\n",
-		res.ModelLabel(), res.Cycles, res.TotalRetired, res.Wall, res.MIPS())
+		res.Model, res.Cycles, res.TotalRetired, res.Wall, res.MIPS())
 	if res.TimedOut {
 		b.WriteString("WARNING: run hit the cycle limit\n")
 	}

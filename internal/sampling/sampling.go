@@ -6,7 +6,7 @@
 // package demonstrates that combination.
 //
 // The instruction stream is divided into periods; in each period a
-// measurement unit of U instructions is timed (by either core model) after
+// measurement unit of U instructions is timed (by any core model) after
 // W instructions of functional warming, and the remaining instructions are
 // fast-forwarded through the caches and branch predictor only (functional
 // warming keeps the large structures coherent with the full execution, the
@@ -18,12 +18,9 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/memhier"
 	"repro/internal/multicore"
-	"repro/internal/ooo"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -122,26 +119,12 @@ func Run(cfg Config, src trace.Stream, total int) (Result, error) {
 		if unit > total-consumed {
 			unit = total - consumed
 		}
-		stream := trace.NewLimit(src, unit)
-		var c sim.Core
-		switch cfg.Model {
-		case multicore.Detailed:
-			c = ooo.New(0, cfg.Machine.Core, bp, mem, stream, sim.NullSyncer{})
-		case multicore.Interval:
-			c = core.New(0, cfg.Machine.Core, bp, mem, stream, sim.NullSyncer{})
-		default:
-			return Result{}, fmt.Errorf("sampling: unsupported model %v", cfg.Model)
-		}
-		var now int64
-		for !c.Done() {
-			c.Step(now)
-			now++
-		}
-		res.Units += (int(c.Retired()) + cfg.Unit - 1) / cfg.Unit
-		cyclesSum += uint64(c.FinishTime())
-		instsSum += c.Retired()
-		consumed += int(c.Retired())
-		if c.Retired() < uint64(unit) {
+		cycles, retired := timeInterval(multicore.RunConfig{Machine: cfg.Machine, Model: cfg.Model}, trace.NewLimit(src, unit), bp, mem)
+		res.Units += (int(retired) + cfg.Unit - 1) / cfg.Unit
+		cyclesSum += uint64(cycles)
+		instsSum += retired
+		consumed += int(retired)
+		if retired < uint64(unit) {
 			break // stream ended inside the unit
 		}
 	}

@@ -6,12 +6,9 @@ import (
 	"math/rand"
 
 	"repro/internal/branch"
-	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/memhier"
 	"repro/internal/multicore"
-	"repro/internal/ooo"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -303,34 +300,28 @@ func kmeansppInit(sigs [][sigDim]float64, k int, rng *rand.Rand) [][sigDim]float
 	return centroids
 }
 
-// timeInterval times one interval's stream on a fresh single core over
-// pre-warmed structures — the shared measurement step of EstimateIPC
-// and EstimateIPCSkip.
-func timeInterval(stream trace.Stream, bp *branch.Unit, mem *memhier.Hierarchy, machine config.Machine, model multicore.Model) (cycles int64, retired uint64, err error) {
-	var sc sim.Core
-	switch model {
-	case multicore.Detailed:
-		sc = ooo.New(0, machine.Core, bp, mem, stream, sim.NullSyncer{})
-	case multicore.Interval:
-		sc = core.New(0, machine.Core, bp, mem, stream, sim.NullSyncer{})
-	default:
-		return 0, 0, fmt.Errorf("simpoint: unsupported model %v", model)
-	}
+// timeInterval times stream on a fresh single core of cfg's model (under
+// cfg's ablation switches) over the pre-warmed bp and mem — the one
+// measurement step of Run, EstimateIPC and EstimateIPCSkip.
+func timeInterval(cfg multicore.RunConfig, stream trace.Stream, bp *branch.Unit, mem *memhier.Hierarchy) (cycles int64, retired uint64) {
+	c := multicore.NewCore(cfg.Model, 0, cfg.Machine.Core, cfg.Ablation, bp, mem, stream, sim.NullSyncer{})
 	var now int64
-	for !sc.Done() {
-		sc.Step(now)
+	for !c.Done() {
+		c.Step(now)
 		now++
 	}
-	return sc.FinishTime(), sc.Retired(), nil
+	return c.FinishTime(), c.Retired()
 }
 
 // EstimateIPC times one representative interval per phase (with full
 // functional warming up to the interval, as checkpoint-based SimPoint
 // deployments do) and combines them by cluster weight into a
-// whole-program IPC estimate.
-func EstimateIPC(insts []isa.Inst, sp *SimPoints, machine config.Machine, model multicore.Model) (float64, error) {
-	if machine.Cores != 1 {
-		return 0, fmt.Errorf("simpoint: single-core only (got %d cores)", machine.Cores)
+// whole-program IPC estimate. Representatives are timed under cfg's
+// machine, core model, perfect structures and ablation switches; the
+// other RunConfig fields are ignored.
+func EstimateIPC(insts []isa.Inst, sp *SimPoints, cfg multicore.RunConfig) (float64, error) {
+	if cfg.Machine.Cores != 1 {
+		return 0, fmt.Errorf("simpoint: single-core only (got %d cores)", cfg.Machine.Cores)
 	}
 	var cpi float64
 	for c := 0; c < sp.K; c++ {
@@ -341,18 +332,15 @@ func EstimateIPC(insts []isa.Inst, sp *SimPoints, machine config.Machine, model 
 			end = len(insts)
 		}
 
-		mem := memhier.New(1, machine.Mem, memhier.Perfect{})
-		bp := branch.NewUnit(machine.Branch)
+		mem := memhier.New(1, cfg.Machine.Mem, cfg.Perfect)
+		bp := branch.NewUnit(cfg.Machine.Branch)
 		for i := 0; i < start; i++ {
 			warmOne(mem, bp, &insts[i])
 		}
 		mem.ResetStats()
 		bp.ResetStats()
 
-		cycles, retired, err := timeInterval(trace.NewSliceStream(insts[start:end]), bp, mem, machine, model)
-		if err != nil {
-			return 0, err
-		}
+		cycles, retired := timeInterval(cfg, trace.NewSliceStream(insts[start:end]), bp, mem)
 		if retired == 0 {
 			continue
 		}
@@ -381,9 +369,10 @@ type SkipStream interface {
 // measurement. warm is the functional-warming length in instructions;
 // longer warming converges on EstimateIPC's full-prefix warming at a
 // cost independent of where the representative sits in the stream.
-func EstimateIPCSkip(open func() SkipStream, sp *SimPoints, warm int, machine config.Machine, model multicore.Model) (float64, error) {
-	if machine.Cores != 1 {
-		return 0, fmt.Errorf("simpoint: single-core only (got %d cores)", machine.Cores)
+// Representatives are timed under cfg as in EstimateIPC.
+func EstimateIPCSkip(open func() SkipStream, sp *SimPoints, warm int, cfg multicore.RunConfig) (float64, error) {
+	if cfg.Machine.Cores != 1 {
+		return 0, fmt.Errorf("simpoint: single-core only (got %d cores)", cfg.Machine.Cores)
 	}
 	if warm < 0 {
 		warm = 0
@@ -401,8 +390,8 @@ func EstimateIPCSkip(open func() SkipStream, sp *SimPoints, warm int, machine co
 		if err := src.SkipTo(uint64(wStart)); err != nil {
 			return 0, fmt.Errorf("simpoint: skipping to %d: %w", wStart, err)
 		}
-		mem := memhier.New(1, machine.Mem, memhier.Perfect{})
-		bp := branch.NewUnit(machine.Branch)
+		mem := memhier.New(1, cfg.Machine.Mem, cfg.Perfect)
+		bp := branch.NewUnit(cfg.Machine.Branch)
 		for i := wStart; i < start; i++ {
 			in, ok := src.Next()
 			if !ok {
@@ -413,10 +402,7 @@ func EstimateIPCSkip(open func() SkipStream, sp *SimPoints, warm int, machine co
 		mem.ResetStats()
 		bp.ResetStats()
 
-		cycles, retired, err := timeInterval(trace.NewLimit(src, sp.IntervalLen), bp, mem, machine, model)
-		if err != nil {
-			return 0, err
-		}
+		cycles, retired := timeInterval(cfg, trace.NewLimit(src, sp.IntervalLen), bp, mem)
 		if retired == 0 {
 			continue
 		}

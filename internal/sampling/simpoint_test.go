@@ -140,7 +140,7 @@ func TestEstimateIPCTracksFullRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := EstimateIPC(all, spShift(sp, initSegs), m, model)
+		est, err := EstimateIPC(all, spShift(sp, initSegs), multicore.RunConfig{Machine: m, Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestEstimateIPCRejectsMultiCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateIPC(insts, sp, config.Default(2), multicore.Interval); err == nil {
+	if _, err := EstimateIPC(insts, sp, multicore.RunConfig{Machine: config.Default(2), Model: multicore.Interval}); err == nil {
 		t.Error("multi-core machine accepted")
 	}
 }
@@ -253,7 +253,7 @@ func TestEstimateIPCSkipTracksFullRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		open := func() SkipStream { return workload.New(p, 0, 1, 42) }
-		est, err := EstimateIPCSkip(open, sp, warm, m, model)
+		est, err := EstimateIPCSkip(open, sp, warm, multicore.RunConfig{Machine: m, Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}

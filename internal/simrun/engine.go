@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/multicore"
 )
 
 // EngineDef is one registered way to produce an answer for a scenario.
@@ -146,7 +148,7 @@ func (s *Scenario) AnswerTier() Tier {
 // place in the lattice (detailed for the detailed model, interval for
 // the analytical models).
 func fullTier(s *Scenario) Tier {
-	if s.model == "detailed" {
+	if s.model == multicore.Detailed {
 		return TierDetailed
 	}
 	return TierInterval
@@ -159,7 +161,7 @@ func fullTier(s *Scenario) Tier {
 func fullCost(s *Scenario) float64 {
 	perThread := float64(s.warmup + s.insts)
 	weight := 1.0
-	if s.model == "detailed" {
+	if s.model == multicore.Detailed {
 		weight = 10
 	}
 	return float64(s.Threads()) * perThread * weight

@@ -26,6 +26,6 @@ func ExampleNew() {
 		return
 	}
 	fmt.Printf("model=%s cores=%d completed=%v\n",
-		res.ModelLabel(), len(res.Cores), res.TotalRetired == 10_000)
+		res.Model, len(res.Cores), res.TotalRetired == 10_000)
 	// Output: model=interval cores=2 completed=true
 }

@@ -80,7 +80,7 @@ func (s *Scenario) fingerprintAt(version int) (string, error) {
 	}
 	body := fingerprintBody{
 		Version:   version,
-		Model:     s.model,
+		Model:     s.model.String(),
 		Bench:     s.bench,
 		Mix:       s.mix,
 		Threads:   s.Threads(),

@@ -6,11 +6,8 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/branch"
-	"repro/internal/memhier"
 	"repro/internal/multicore"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -129,45 +126,40 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("simrun: engine %q panicked running %q: %v\n%s", e.Engine, e.Scenario, e.Value, e.Stack)
 }
 
+// RunConfig is the simulated configuration the scenario runs under: the
+// resolved machine, core model, perfect structures and ablation
+// switches. The full engine adds its per-run settings to it; estimator
+// engines time their samples under it, so every tier honours the same
+// settings.
+func (s *Scenario) RunConfig() (multicore.RunConfig, error) {
+	machine, err := s.ResolvedMachine()
+	if err != nil {
+		return multicore.RunConfig{}, err
+	}
+	return multicore.RunConfig{
+		Machine:  machine,
+		Model:    s.model,
+		Perfect:  s.perfect,
+		Ablation: s.ablation,
+	}, nil
+}
+
 // runFull is the full engine: the scenario's entire instruction budget
 // under its own core model — the definitive answer every estimator tier
 // is eventually upgraded to.
 func (s *Scenario) runFull(ctx context.Context) (Result, error) {
-	factory, err := LookupModel(s.model)
-	if err != nil {
-		return Result{Scenario: s}, err
-	}
-	machine, err := s.ResolvedMachine()
+	cfg, err := s.RunConfig()
 	if err != nil {
 		return Result{Scenario: s}, err
 	}
 	streams, warm := s.buildStreams()
-
-	cfg := multicore.RunConfig{
-		Machine:     machine,
-		Model:       legacyModel(s.model),
-		ModelName:   s.model,
-		Perfect:     s.perfect,
-		MaxCycles:   s.maxCycles,
-		KeepCores:   s.keepCores,
-		WarmupInsts: s.warmup,
-		Warmup:      warm,
-		Ablation:    s.ablation,
-		Interrupt:   ctx.Done(),
-		Trace:       s.tracer(),
-		Heartbeat:   s.heartbeat(),
-		NewCore: func(i int, bp *branch.Unit, mem *memhier.Hierarchy, stream trace.Stream, coord sim.Syncer) sim.Core {
-			return factory(CoreParams{
-				ID:       i,
-				Machine:  machine,
-				Ablation: s.ablation,
-				Branch:   bp,
-				Mem:      mem,
-				Stream:   stream,
-				Sync:     coord,
-			})
-		},
-	}
+	cfg.MaxCycles = s.maxCycles
+	cfg.KeepCores = s.keepCores
+	cfg.WarmupInsts = s.warmup
+	cfg.Warmup = warm
+	cfg.Interrupt = ctx.Done()
+	cfg.Trace = s.tracer()
+	cfg.Heartbeat = s.heartbeat()
 	res := Result{Scenario: s, Result: multicore.Run(cfg, streams)}
 	if res.Interrupted {
 		return res, ctx.Err()

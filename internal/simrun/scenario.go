@@ -1,6 +1,5 @@
 // Package simrun is the one way to describe and execute simulations: a
-// scenario builder with functional options, a core-model registry, and a
-// parallel batch runner.
+// scenario builder with functional options and a parallel batch runner.
 //
 // Every driver and example builds runs the same way:
 //
@@ -28,6 +27,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/memhier"
+	"repro/internal/multicore"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -43,7 +43,7 @@ const warmSeedOffset = 1000
 type Scenario struct {
 	bench  string
 	label  string
-	model  string
+	model  multicore.Model
 	engine string // registered engine name; "" = DefaultEngine
 
 	cores  int
@@ -89,7 +89,7 @@ func New(bench string, opts ...Option) (*Scenario, error) {
 	// back to an explicit Machine's core count.
 	s := &Scenario{
 		bench: bench,
-		model: "interval",
+		model: multicore.Interval,
 		insts: 100_000,
 		seed:  42,
 		scale: 1,
@@ -98,9 +98,6 @@ func New(bench string, opts ...Option) (*Scenario, error) {
 		if err := opt(s); err != nil {
 			return nil, err
 		}
-	}
-	if _, err := LookupModel(s.model); err != nil {
-		return nil, err
 	}
 	if err := s.resolveWorkload(); err != nil {
 		return nil, err
@@ -203,8 +200,8 @@ func (s *Scenario) Name() string {
 	return s.bench
 }
 
-// ModelName is the registered core-model name the scenario runs under.
-func (s *Scenario) ModelName() string { return s.model }
+// ModelName is the wire name of the core model the scenario runs under.
+func (s *Scenario) ModelName() string { return s.model.String() }
 
 // EngineName is the registered engine the scenario runs under —
 // DefaultEngine ("full") unless the Engine option chose an estimator.
@@ -340,15 +337,12 @@ func oneOf(kind, knob, v string) error {
 	return fmt.Errorf("simrun: unknown %s %q (want %s)", kind, v, strings.Join(valid, ", "))
 }
 
-// Model selects the core timing model by registered name (see
-// RegisterModel); the built-ins are "interval", "detailed" and "oneipc".
+// Model selects the core timing model by wire name (see
+// multicore.Models): "interval", "detailed" or "oneipc".
 func Model(name string) Option {
-	return func(s *Scenario) error {
-		if _, err := LookupModel(name); err != nil {
-			return err
-		}
-		s.model = name
-		return nil
+	return func(s *Scenario) (err error) {
+		s.model, err = multicore.ParseModel(name)
+		return err
 	}
 }
 

@@ -3,13 +3,10 @@ package simrun_test
 import (
 	"context"
 	"errors"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/sim"
 	"repro/internal/simrun"
 )
 
@@ -108,50 +105,6 @@ func TestUnknownNamesRejected(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: unknown name accepted", c.label)
 		}
-	}
-}
-
-// testModelCalls counts test-model factory invocations; the model is
-// registered once per process (the registry rejects duplicates), so the
-// test measures the delta under -count=N reruns.
-var testModelCalls int
-
-var registerTestModel = sync.OnceFunc(func() {
-	simrun.RegisterModel("test-countdown", func(p simrun.CoreParams) sim.Core {
-		testModelCalls++
-		// Reuse the built-in one-IPC model under a new name: the
-		// registry, not the model, is under test.
-		f, _ := simrun.LookupModel("oneipc")
-		return f(p)
-	})
-})
-
-// TestRegistry checks registered models run through the driver and unknown
-// models error with the registered list.
-func TestRegistry(t *testing.T) {
-	registerTestModel()
-	before := testModelCalls
-	s, err := simrun.New("gcc", simrun.Model("test-countdown"), simrun.Insts(2000), simrun.Cores(2))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if calls := testModelCalls - before; calls != 2 {
-		t.Errorf("factory called %d times, want 2", calls)
-	}
-	if res.ModelLabel() != "test-countdown" {
-		t.Errorf("ModelLabel = %q, want test-countdown", res.ModelLabel())
-	}
-	if res.TotalRetired == 0 || res.Cycles == 0 {
-		t.Errorf("empty run: retired=%d cycles=%d", res.TotalRetired, res.Cycles)
-	}
-
-	_, err = simrun.New("gcc", simrun.Model("no-such-model"))
-	if err == nil || !strings.Contains(err.Error(), "interval") {
-		t.Errorf("unknown model error should list registered models, got %v", err)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 //
 // Spec deliberately covers only the declarative surface of the builder:
 // closed-set knobs, sizing integers and the full machine override.
-// Code-only options (Streams, Configure, custom registered factories'
-// side data) have no spec form — they exist for embedding Go programs.
+// Code-only options (Streams, Configure) have no spec form — they exist
+// for embedding Go programs.
 type Spec struct {
 	// Version pins the stream-format generation the spec was written
 	// for. 0 (omitted) means the current generation (SpecVersion); any

@@ -1,6 +1,7 @@
 package simrun
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -205,4 +206,37 @@ func TestLoadSpecsErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "scenario 2") {
 		t.Errorf("error does not name the offending entry: %v", err)
 	}
+}
+
+// FuzzParseSpec drives the wire boundary end to end — decode, build,
+// fingerprint — on arbitrary bytes: every input must come back as an
+// error or as a scenario with a fingerprint, never as a panic.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"bench":"gcc","model":"interval","cores":2,"insts":5000,"warmup":1000,"seed":7,"fabric":"mesh","predictor":"gshare","report":true}`,
+		`{"bench":"gcc","predcitor":"tage"}`,
+		`{"bench":"no-such-benchmark"}`,
+		`{"bench":"gcc","model":"quantum"}`,
+		`{"bench":"gcc","fabric":"torus"}`,
+		`{"bench":"gcc","cores":-1}`,
+		`{"bench":"gcc","copies":2,"hostpar":2}`,
+		`{"bench":"gcc","copies":2,"quantum":1000}`,
+		`{"bench":"gcc"}`,
+		`{"bench":"mcf","fabric":"ring"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := ParseSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		sc, err := spec.Scenario()
+		if err != nil {
+			return
+		}
+		if _, err := sc.Fingerprint(); err != nil {
+			t.Fatalf("spec %q built a scenario that cannot be fingerprinted: %v", body, err)
+		}
+	})
 }
