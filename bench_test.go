@@ -207,11 +207,14 @@ func BenchmarkDetailedCycle(b *testing.B) {
 func BenchmarkWorkloadGen(b *testing.B) {
 	p := workload.SPECByName("gcc")
 	g := workload.New(p, 0, 1, 42)
+	buf := make([]isa.Inst, 1024) // chunked like the cores' fetch; b.N counts instructions
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := g.Next(); !ok {
+	for left := b.N; left > 0; {
+		k := g.NextBatch(buf[:min(left, len(buf))])
+		if k == 0 {
 			b.Fatal("stream ended")
 		}
+		left -= k
 	}
 }
 

@@ -448,13 +448,17 @@ func microBenchmarks() ([]MicroResult, int64) {
 	}))
 
 	add("workload_gen", testing.Benchmark(func(b *testing.B) {
+		// Chunked like the cores' fetch; b.N still counts instructions.
 		g := workload.New(workload.SPECByName("gcc"), 0, 1, 42)
+		buf := make([]isa.Inst, 1024)
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := g.Next(); !ok {
+		for left := b.N; left > 0; {
+			k := g.NextBatch(buf[:min(left, len(buf))])
+			if k == 0 {
 				b.Fatal("stream ended")
 			}
+			left -= k
 		}
 	}))
 

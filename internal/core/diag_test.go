@@ -21,11 +21,7 @@ func TestDiagnoseRate(t *testing.T) {
 	mem := memhier.New(1, m.Mem, memhier.Perfect{ISide: true})
 	bp := branch.NewUnit(m.Branch)
 	warm := workload.New(p, 0, 1, 777)
-	for k := 0; k < 1_000_000; k++ {
-		in, ok := warm.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Record(warm, 1_000_000) {
 		if in.Class.IsMem() {
 			mem.Data(0, in.Addr, in.Class == isa.Store, 0)
 		}

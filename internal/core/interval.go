@@ -33,7 +33,7 @@ type Core struct {
 	maxLL  int // outstanding long-latency load budget per overlap scan
 	bp     *branch.Unit
 	mem    *memhier.Hierarchy
-	batch  trace.BatchStream
+	src    trace.Stream
 	syncer sim.Syncer
 
 	// The window corresponds to the reorder buffer; instructions enter at
@@ -123,7 +123,7 @@ func NewWithOptions(id int, cfg config.Core, opts Options, bp *branch.Unit, mem 
 		maxLL:      maxLL,
 		bp:         bp,
 		mem:        mem,
-		batch:      trace.Batched(src),
+		src:        src,
 		syncer:     syncer,
 		fbuf:       make([]isa.Inst, ring),
 		flags:      make([]uint8, ring),
@@ -191,7 +191,7 @@ func (c *Core) fill() {
 			if cont := len(c.fbuf) - pos; cont < span {
 				span = cont
 			}
-			k := c.batch.NextBatch(c.fbuf[pos : pos+span])
+			k := c.src.NextBatch(c.fbuf[pos : pos+span])
 			if k == 0 {
 				c.srcDone = true
 				return

@@ -8,6 +8,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/memhier"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -19,11 +20,7 @@ func TestDiagnoseX264(t *testing.T) {
 	mem := memhier.New(1, m.Mem, memhier.Perfect{})
 	bp := branch.NewUnit(m.Branch)
 	warm := workload.New(&q, 0, 1, 1042)
-	for k := 0; k < 600_000; k++ {
-		in, ok := warm.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Record(warm, 600_000) {
 		if in.Class.IsMem() {
 			mem.Data(0, in.Addr, in.Class == isa.Store, 0)
 		}

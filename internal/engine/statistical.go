@@ -172,20 +172,23 @@ type stratified struct {
 	taken  uint64
 }
 
-func (s *stratified) Next() (isa.Inst, bool) {
+// NextBatch implements trace.Stream, ending each chunk at the current
+// slice's boundary.
+func (s *stratified) NextBatch(buf []isa.Inst) int {
 	if s.taken == s.next {
 		if len(s.starts) == 0 {
-			return isa.Inst{}, false
+			return 0
 		}
 		if err := s.g.SkipTo(s.starts[0]); err != nil {
-			return isa.Inst{}, false
+			return 0
 		}
 		s.starts = s.starts[1:]
 		s.next += s.per
 	}
-	in, ok := s.g.Next()
-	if ok {
-		s.taken++
+	if left := s.next - s.taken; uint64(len(buf)) > left {
+		buf = buf[:left]
 	}
-	return in, ok
+	k := s.g.NextBatch(buf)
+	s.taken += uint64(k)
+	return k
 }

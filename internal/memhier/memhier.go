@@ -18,28 +18,9 @@ import (
 	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/config"
-	"repro/internal/interconnect"
 	"repro/internal/memory"
 	"repro/internal/noc"
 )
-
-// Fabric is the on-chip interconnect between the private L1s and the
-// shared L2/memory hub, as the hierarchy consumes it. The split-transaction
-// bus (package interconnect) and the mesh and ring networks (package noc)
-// all satisfy it.
-type Fabric interface {
-	// AccessFrom issues a request transaction from core at time now and
-	// returns its latency (queueing + traversal).
-	AccessFrom(core int, now int64) int64
-	// Utilization returns the fabric's busy fraction up to now.
-	Utilization(now int64) float64
-	// TxCount returns the number of transactions issued.
-	TxCount() uint64
-	// StallCycles returns total cycles spent queueing.
-	StallCycles() int64
-	// ResetStats clears statistics and pending occupancy.
-	ResetStats()
-}
 
 // AccessStats are the hierarchy's access counters. They are kept per core
 // and aggregated by Stats.
@@ -147,8 +128,7 @@ type Hierarchy struct {
 	cores   []coreCaches
 	l2      *cache.Cache
 	coh     coherence.Engine
-	fab     Fabric
-	busOnly *interconnect.Bus // non-nil when the fabric is the bus
+	fab     noc.Fabric
 	dram    memory.MainMemory
 	dirLat  int64 // home-node lookup cost; zero for snooping protocols
 
@@ -176,7 +156,7 @@ func newProtocol(n int, cfg config.Memory) (coherence.Engine, int64) {
 }
 
 // newFabric selects the on-chip interconnect by name.
-func newFabric(n int, cfg config.Memory) (Fabric, *interconnect.Bus) {
+func newFabric(n int, cfg config.Memory) noc.Fabric {
 	hop := cfg.NoCHopLatency
 	if hop <= 0 {
 		hop = 1
@@ -187,12 +167,11 @@ func newFabric(n int, cfg config.Memory) (Fabric, *interconnect.Bus) {
 	}
 	switch cfg.Interconnect {
 	case "mesh":
-		return noc.NewMesh(n, hop, occ), nil
+		return noc.NewMesh(n, hop, occ)
 	case "ring":
-		return noc.NewRing(n, hop, occ), nil
+		return noc.NewRing(n, hop, occ)
 	default:
-		b := interconnect.New(cfg.L2BusLatency, 1)
-		return b, b
+		return noc.NewBus(cfg.L2BusLatency, 1)
 	}
 }
 
@@ -223,15 +202,13 @@ func newMainMemory(cfg config.Memory) memory.MainMemory {
 // New builds the hierarchy for n cores under the given configuration.
 func New(n int, cfg config.Memory, perfect Perfect) *Hierarchy {
 	coh, dirLat := newProtocol(n, cfg)
-	fab, busOnly := newFabric(n, cfg)
 	h := &Hierarchy{
 		cfg:     cfg,
 		perfect: perfect,
 		multi:   n > 1,
 		cores:   make([]coreCaches, n),
 		coh:     coh,
-		fab:     fab,
-		busOnly: busOnly,
+		fab:     newFabric(n, cfg),
 		dram:    newMainMemory(cfg),
 		dirLat:  dirLat,
 		stats:   make([]AccessStats, n),
@@ -276,12 +253,8 @@ func (h *Hierarchy) DRAM() memory.MainMemory { return h.dram }
 // checks).
 func (h *Hierarchy) Coherence() coherence.Engine { return h.coh }
 
-// Bus exposes the L1-to-L2 interconnect when the fabric is the baseline
-// split-transaction bus, or nil for mesh/ring fabrics.
-func (h *Hierarchy) Bus() *interconnect.Bus { return h.busOnly }
-
 // Fabric exposes the on-chip interconnect (for statistics).
-func (h *Hierarchy) Fabric() Fabric { return h.fab }
+func (h *Hierarchy) Fabric() noc.Fabric { return h.fab }
 
 // L1D returns core's private data cache (for statistics).
 func (h *Hierarchy) L1D(core int) *cache.Cache { return h.cores[core].l1d }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/noc"
 )
 
 func newH(cores int) *Hierarchy {
@@ -262,11 +263,12 @@ func TestBusContentionBetweenCores(t *testing.T) {
 	// Both cores miss at the same cycle: the second transaction queues.
 	r0 := h.Data(0, 0x60000000000, false, 0)
 	r1 := h.Data(1, 0x61000000000, false, 0)
-	if r1.Latency <= r0.Latency-int64(h.Config().DTLB.MissLatency) && h.Bus().StallTotal == 0 {
+	bus := h.Fabric().(*noc.Bus)
+	if r1.Latency <= r0.Latency-int64(h.Config().DTLB.MissLatency) && bus.StallTotal == 0 {
 		t.Fatal("no bus arbitration visible between same-cycle misses")
 	}
-	if h.Bus().Transactions < 2 {
-		t.Fatalf("bus transactions = %d", h.Bus().Transactions)
+	if bus.Transactions < 2 {
+		t.Fatalf("bus transactions = %d", bus.Transactions)
 	}
 }
 

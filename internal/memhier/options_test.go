@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/noc"
 )
 
 // memCfg returns the Table 1 memory configuration for tweaking.
@@ -13,8 +14,8 @@ func TestMeshFabricSelected(t *testing.T) {
 	cfg := memCfg()
 	cfg.Interconnect = "mesh"
 	h := New(4, cfg, Perfect{})
-	if h.Bus() != nil {
-		t.Fatal("mesh hierarchy still exposes the bus")
+	if _, ok := h.Fabric().(*noc.Mesh); !ok {
+		t.Fatalf("mesh configuration built a %T fabric", h.Fabric())
 	}
 	// Miss both L1 and L2: the fabric must see a transaction.
 	h.Data(0, 0x100000, false, 0)

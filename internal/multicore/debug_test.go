@@ -24,11 +24,7 @@ func TestDiagnoseDetailed(t *testing.T) {
 	mem := memhier.New(1, m.Mem, memhier.Perfect{})
 	bp := branch.NewUnit(m.Branch)
 	warm := workload.New(p, 0, 1, 777)
-	for k := 0; k < 1_000_000; k++ {
-		in, ok := warm.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Record(warm, 1_000_000) {
 		mem.Inst(0, in.PC, 0)
 		if in.Class.IsBranch() {
 			bp.Predict(&in)
@@ -109,11 +105,7 @@ func TestDiagnoseMcf(t *testing.T) {
 	mem := memhier.New(1, m.Mem, memhier.Perfect{})
 	bp := branch.NewUnit(m.Branch)
 	warm := workload.New(p, 0, 1, 777)
-	for k := 0; k < 1_000_000; k++ {
-		in, ok := warm.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Record(warm, 1_000_000) {
 		mem.Inst(0, in.PC, 0)
 		if in.Class.IsBranch() {
 			bp.Predict(&in)
@@ -152,11 +144,7 @@ func TestDiagnoseMcfDetailed(t *testing.T) {
 	// Rebuild hierarchy to measure miss composition.
 	mem := memhier.New(1, m.Mem, memhier.Perfect{})
 	warm := workload.New(p, 0, 1, 777)
-	for k := 0; k < 1_000_000; k++ {
-		in, ok := warm.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Record(warm, 1_000_000) {
 		mem.Inst(0, in.PC, 0)
 		if in.Class.IsMem() {
 			mem.Data(0, in.Addr, in.Class == isa.Store, 0)
@@ -166,11 +154,7 @@ func TestDiagnoseMcfDetailed(t *testing.T) {
 	gen := workload.New(p, 0, 1, 42)
 	var nLong, nL2, nHit, nTLB int
 	var sumLat int64
-	for k := 0; k < 50_000; k++ {
-		in, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for k, in := range trace.Record(gen, 50_000) {
 		if !in.Class.IsMem() {
 			continue
 		}

@@ -352,28 +352,26 @@ func finishResult(res *Result, cores []sim.Core, now int64) {
 // Warmup replays n instructions per core through the caches, TLBs and
 // branch predictors without timing, then clears all statistics. This is
 // standard functional warming: the timed portion then measures steady-state
-// behaviour instead of cold-start misses.
-func Warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, n int) {
-	buf := make([]isa.Inst, 4096)
+// behaviour instead of cold-start misses. Chunks are clamped to n, so a
+// stream that the timed run then continues from is never over-read. It
+// returns the fewest instructions any stream supplied (n unless a stream
+// ended early).
+func Warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, n int) int {
+	n = max(n, 0)
+	buf := make([]isa.Inst, min(n, 4096))
+	consumed := n
 	for i, s := range streams {
 		if i >= len(bps) {
 			break
 		}
-		// Consume exactly n instructions in chunks: the chunk is clamped
-		// so warmup never over-reads a stream that the timed run then
-		// continues from.
-		bs := trace.Batched(s)
-		for left := n; left > 0; {
-			want := len(buf)
-			if want > left {
-				want = left
-			}
-			k := bs.NextBatch(buf[:want])
+		left := n
+		for left > 0 {
+			k := s.NextBatch(buf[:min(left, len(buf))])
 			if k == 0 {
 				break
 			}
 			left -= k
-			for j := 0; j < k; j++ {
+			for j := range buf[:k] {
 				in := &buf[j]
 				if in.Class.IsSync() {
 					continue
@@ -387,9 +385,11 @@ func Warmup(mem *memhier.Hierarchy, bps []*branch.Unit, streams []trace.Stream, 
 				}
 			}
 		}
+		consumed = min(consumed, n-left)
 	}
 	mem.ResetStats()
 	for _, bp := range bps {
 		bp.ResetStats()
 	}
+	return consumed
 }

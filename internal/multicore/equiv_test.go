@@ -12,24 +12,25 @@ import (
 	"repro/internal/workload"
 )
 
-// nextOnly hides any batch capability of the wrapped stream, forcing the
-// cores and the warmup loop onto the legacy Next adapter path.
-type nextOnly struct{ s trace.Stream }
+// oneByOne hands out at most one instruction per NextBatch call, forcing
+// the cores and the warmup loop through their refill paths on every
+// instruction.
+type oneByOne struct{ s trace.Stream }
 
-func (n nextOnly) Next() (isa.Inst, bool) { return n.s.Next() }
+func (o oneByOne) NextBatch(buf []isa.Inst) int { return o.s.NextBatch(buf[:min(len(buf), 1)]) }
 
-// hide wraps every stream in a Next-only shell.
+// hide wraps every stream in a one-instruction-per-call shell.
 func hide(streams []trace.Stream) []trace.Stream {
 	out := make([]trace.Stream, len(streams))
 	for i, s := range streams {
-		out[i] = nextOnly{s}
+		out[i] = oneByOne{s}
 	}
 	return out
 }
 
 // runJSON simulates and renders the machine-readable report, which covers
 // cycles, per-core IPC and the full hierarchy statistics — any divergence
-// between the batched and unbatched hand-off shows up here.
+// between the chunked and one-at-a-time hand-off shows up here.
 func runJSON(t *testing.T, cfg multicore.RunConfig, streams []trace.Stream) []byte {
 	t.Helper()
 	cfg.KeepCores = true
@@ -42,8 +43,9 @@ func runJSON(t *testing.T, cfg multicore.RunConfig, streams []trace.Stream) []by
 }
 
 // TestBatchedStreamEquivalence: for all three core models, simulating over
-// batch-capable streams and over Next-only streams must produce
-// bit-identical reports — with and without separate warmup twins.
+// streams that fill whole chunks and over streams that hand out one
+// instruction per call must produce bit-identical reports — with and
+// without separate warmup twins.
 func TestBatchedStreamEquivalence(t *testing.T) {
 	const insts, warm = 12_000, 30_000
 	models := []multicore.Model{multicore.Interval, multicore.Detailed, multicore.OneIPC}

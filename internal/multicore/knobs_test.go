@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/noc"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -58,8 +59,8 @@ func TestAllKnobsTogether(t *testing.T) {
 		if msg := res.Mem.Coherence().CheckInvariants(); msg != "" {
 			t.Fatalf("%v: coherence invariant violated: %s", model, msg)
 		}
-		if res.Mem.Bus() != nil {
-			t.Fatalf("%v: mesh machine exposes a bus", model)
+		if _, ok := res.Mem.Fabric().(*noc.Mesh); !ok {
+			t.Fatalf("%v: mesh machine built a %T fabric", model, res.Mem.Fabric())
 		}
 	}
 }

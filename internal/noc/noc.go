@@ -1,30 +1,37 @@
-// Package noc models on-chip interconnection networks between the private
-// L1 caches and the shared L2/memory-controller hub — richer alternatives to
-// the split-transaction bus of package interconnect. The paper's framework
-// (Figure 2) places the interconnection network inside the memory hierarchy
-// simulator; swapping fabrics is exactly the kind of system-level trade-off
-// interval simulation is meant to explore without touching the core model.
+// Package noc models the on-chip interconnect between the private L1
+// caches and the shared L2/memory-controller hub. The paper's framework
+// (Figure 2) places the interconnection network inside the memory
+// hierarchy simulator; swapping fabrics is exactly the kind of
+// system-level trade-off interval simulation is meant to explore without
+// touching the core model.
 //
-// Two topologies are provided: a 2D mesh with XY dimension-order routing
-// and a bidirectional ring. Both share the same contention model: a
-// transfer reserves each directed link along its route in order; a link
-// occupied by an earlier transfer delays the header until it frees. This is
-// a transaction-level approximation of wormhole routing — adequate for the
-// queueing-under-load behaviour the evaluation studies, and deliberately
-// far cheaper than flit-level simulation.
+// Three topologies are provided: the Table 1 split-transaction bus, a 2D
+// mesh with XY dimension-order routing and a bidirectional ring. The two
+// networks share one contention model: a transfer reserves each directed
+// link along its route in order; a link occupied by an earlier transfer
+// delays the header until it frees. This is a transaction-level
+// approximation of wormhole routing — adequate for the queueing-under-load
+// behaviour the evaluation studies, and deliberately far cheaper than
+// flit-level simulation. The bus is the one-link case: every transaction
+// queues for the same slot.
 package noc
 
-// Fabric is an on-chip network connecting cores to a shared hub (the L2 /
-// memory controller). AccessFrom issues a core-to-hub request transaction
-// at time now and returns its latency (queueing + hop traversal). The
-// response path is assumed to use a dedicated data network, as in the bus
-// model, so only the request network is contended.
+// Fabric is an on-chip interconnect connecting cores to a shared hub (the
+// L2 / memory controller), as the memory hierarchy consumes it.
+// AccessFrom issues a core-to-hub request transaction at time now and
+// returns its latency (queueing + traversal). The response path is assumed
+// to use a dedicated data network, so only the request network is
+// contended.
 type Fabric interface {
 	// AccessFrom issues a transaction from core to the hub at time now
 	// and returns its total latency in cycles.
 	AccessFrom(core int, now int64) int64
 	// Utilization returns the mean busy fraction across links up to now.
 	Utilization(now int64) float64
+	// TxCount returns the number of transactions issued.
+	TxCount() uint64
+	// StallCycles returns the total cycles transactions spent queueing.
+	StallCycles() int64
 	// ResetStats clears statistics and pending link occupancy.
 	ResetStats()
 }

@@ -66,11 +66,7 @@ func TestDiagnoseOracle(t *testing.T) {
 	var ready [64]int64
 	var makespan int64
 	n := 0
-	for k := 0; k < 50_000; k++ {
-		in, ok := gen.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Record(gen, 50_000) {
 		n++
 		var issue int64
 		if in.Src1 != 0xFF && ready[in.Src1] > issue {

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/config"
-	"repro/internal/isa"
 	"repro/internal/memhier"
 	"repro/internal/multicore"
 	"repro/internal/trace"
@@ -73,15 +72,14 @@ func Run(cfg Config, src trace.Stream, total int) (Result, error) {
 
 	mem := memhier.New(1, cfg.Machine.Mem, memhier.Perfect{})
 	bp := branch.NewUnit(cfg.Machine.Branch)
+	warm := func(n int) bool {
+		return multicore.Warmup(mem, []*branch.Unit{bp}, []trace.Stream{src}, n) >= n
+	}
 
 	var res Result
 	var cyclesSum, instsSum uint64
-	for k := 0; k < cfg.InitialWarmup; k++ {
-		in, ok := src.Next()
-		if !ok {
-			return res, nil
-		}
-		warmOne(mem, bp, &in)
+	if !warm(cfg.InitialWarmup) {
+		return res, nil
 	}
 	consumed := 0
 	for consumed < total {
@@ -98,23 +96,18 @@ func Run(cfg Config, src trace.Stream, total int) (Result, error) {
 		if ff == 0 {
 			unitLen = total - consumed
 		}
-		for k := 0; k < ff; k++ {
-			in, ok := src.Next()
-			if !ok {
-				return finish(res, cyclesSum, instsSum), nil
-			}
-			warmOne(mem, bp, &in)
-			consumed++
+		// Warmup also clears the bus/DRAM occupancy the (untimed)
+		// fast-forward accesses accumulated, before the unit is timed.
+		if !warm(ff) {
+			return finish(res, cyclesSum, instsSum), nil
 		}
+		consumed += ff
 		if consumed >= total {
 			break
 		}
 
 		// Measurement unit: time Unit instructions on a fresh core over
-		// the warmed structures. Clear bus/DRAM occupancy accumulated by
-		// the (untimed) fast-forward accesses first.
-		mem.ResetStats()
-		bp.ResetStats()
+		// the warmed structures.
 		unit := unitLen
 		if unit > total-consumed {
 			unit = total - consumed
@@ -141,18 +134,4 @@ func finish(res Result, cycles, insts uint64) Result {
 		res.SampledIPC = float64(insts) / float64(cycles)
 	}
 	return res
-}
-
-// warmOne feeds one instruction through the caches, TLBs and predictor.
-func warmOne(mem *memhier.Hierarchy, bp *branch.Unit, in *isa.Inst) {
-	if in.Class.IsSync() {
-		return
-	}
-	mem.Inst(0, in.PC, 0)
-	if in.Class.IsBranch() {
-		bp.Predict(in)
-	}
-	if in.Class.IsMem() {
-		mem.Data(0, in.Addr, in.Class == isa.Store, 0)
-	}
 }

@@ -139,17 +139,12 @@ func AnalyzeStream(src trace.Stream, total int, cfg SimPointConfig) (*SimPoints,
 		return nil, fmt.Errorf("simpoint: %d instructions is less than one interval of %d",
 			total, cfg.IntervalLen)
 	}
-	buf := make([]isa.Inst, 0, cfg.IntervalLen)
+	buf := make([]isa.Inst, cfg.IntervalLen)
 	sigs := make([][sigDim]float64, 0, n)
 	for i := 0; i < n; i++ {
-		buf = buf[:0]
-		for len(buf) < cfg.IntervalLen {
-			in, ok := src.Next()
-			if !ok {
-				return nil, fmt.Errorf("simpoint: stream ended at instruction %d of %d",
-					i*cfg.IntervalLen+len(buf), n*cfg.IntervalLen)
-			}
-			buf = append(buf, in)
+		if k := trace.Fill(src, buf); k < len(buf) {
+			return nil, fmt.Errorf("simpoint: stream ended at instruction %d of %d",
+				i*cfg.IntervalLen+k, n*cfg.IntervalLen)
 		}
 		sigs = append(sigs, signature(buf))
 	}
@@ -334,11 +329,7 @@ func EstimateIPC(insts []isa.Inst, sp *SimPoints, cfg multicore.RunConfig) (floa
 
 		mem := memhier.New(1, cfg.Machine.Mem, cfg.Perfect)
 		bp := branch.NewUnit(cfg.Machine.Branch)
-		for i := 0; i < start; i++ {
-			warmOne(mem, bp, &insts[i])
-		}
-		mem.ResetStats()
-		bp.ResetStats()
+		multicore.Warmup(mem, []*branch.Unit{bp}, []trace.Stream{trace.NewSliceStream(insts[:start])}, start)
 
 		cycles, retired := timeInterval(cfg, trace.NewSliceStream(insts[start:end]), bp, mem)
 		if retired == 0 {
@@ -392,15 +383,9 @@ func EstimateIPCSkip(open func() SkipStream, sp *SimPoints, warm int, cfg multic
 		}
 		mem := memhier.New(1, cfg.Machine.Mem, cfg.Perfect)
 		bp := branch.NewUnit(cfg.Machine.Branch)
-		for i := wStart; i < start; i++ {
-			in, ok := src.Next()
-			if !ok {
-				return 0, fmt.Errorf("simpoint: stream ended at %d while warming toward %d", i, start)
-			}
-			warmOne(mem, bp, &in)
+		if k := multicore.Warmup(mem, []*branch.Unit{bp}, []trace.Stream{src}, start-wStart); k < start-wStart {
+			return 0, fmt.Errorf("simpoint: stream ended at %d while warming toward %d", wStart+k, start)
 		}
-		mem.ResetStats()
-		bp.ResetStats()
 
 		cycles, retired := timeInterval(cfg, trace.NewLimit(src, sp.IntervalLen), bp, mem)
 		if retired == 0 {

@@ -236,13 +236,18 @@ func (c *Clone) sample(cdf []float64) int {
 	return len(cdf) - 1
 }
 
-// Next implements trace.Stream.
-func (c *Clone) Next() (isa.Inst, bool) {
-	if c.left <= 0 {
-		return isa.Inst{}, false
+// NextBatch implements trace.Stream.
+func (c *Clone) NextBatch(buf []isa.Inst) int {
+	n := 0
+	for ; n < len(buf) && c.left > 0; n++ {
+		c.left--
+		buf[n] = c.synthesize()
 	}
-	c.left--
+	return n
+}
 
+// synthesize draws the clone's next instruction.
+func (c *Clone) synthesize() isa.Inst {
 	class := isa.Class(c.sample(c.classCDF))
 	if class.IsSync() {
 		class = isa.Serializing
@@ -316,7 +321,7 @@ func (c *Clone) Next() (isa.Inst, bool) {
 	}
 
 	c.seq++
-	return in, true
+	return in
 }
 
 // nextPC advances the synthetic program counter: sequential slots within

@@ -20,8 +20,9 @@ const cloneGolden uint64 = 0x17a9e9f311f23631
 func hashInsts(insts []trace.Stream) uint64 {
 	h := fnv.New64a()
 	for _, s := range insts {
+		rd := trace.NewBuffered(s, 1024)
 		for {
-			in, ok := s.Next()
+			in, ok := rd.Next()
 			if !ok {
 				break
 			}

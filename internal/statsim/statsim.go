@@ -208,9 +208,13 @@ func CollectWarm(src trace.Stream, warm, max int) *Profile {
 	l2 := cache.New(mem.L2)
 	l1i := cache.New(mem.L1I)
 
+	if max > 0 {
+		src = trace.NewLimit(src, warm+max)
+	}
+	rd := trace.NewBuffered(src, 4096)
 	var seq uint64
-	for max <= 0 || int(p.Total) < max {
-		in, ok := src.Next()
+	for {
+		in, ok := rd.Next()
 		if !ok {
 			break
 		}

@@ -156,11 +156,7 @@ func ipcOf(t *testing.T, src trace.Stream, warm, n int) float64 {
 	m := config.Default(1)
 	mem := memhier.New(1, m.Mem, memhier.Perfect{})
 	bp := branch.NewUnit(m.Branch)
-	for i := 0; i < warm; i++ {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Record(src, warm) {
 		if in.Class.IsSync() {
 			continue
 		}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -23,34 +24,43 @@ func synthetic(n int) []isa.Inst {
 	return out
 }
 
-// nextOnly hides any batch capability so Batched must fall back to the
-// legacy adapter.
-type nextOnly struct{ s Stream }
+// oneByOne hands out at most one instruction per NextBatch call.
+type oneByOne struct{ s Stream }
 
-func (n nextOnly) Next() (isa.Inst, bool) { return n.s.Next() }
+func (o oneByOne) NextBatch(buf []isa.Inst) int { return o.s.NextBatch(buf[:min(len(buf), 1)]) }
 
-// TestBatchedMatchesNext: for every stream shape, draining via NextBatch
-// with random chunk sizes must yield exactly the sequence Next yields.
+// TestBatchedMatchesNext: for every stream shape, draining with random
+// chunk sizes must yield exactly the sequence that draining one
+// instruction per call yields.
 func TestBatchedMatchesNext(t *testing.T) {
 	insts := synthetic(10_000)
+	var recorded bytes.Buffer
+	if _, err := WriteTrace(&recorded, NewSliceStream(insts), len(insts), Header{}); err != nil {
+		t.Fatal(err)
+	}
 	shapes := map[string]func() Stream{
-		"slice":           func() Stream { return NewSliceStream(insts) },
-		"limit-slice":     func() Stream { return NewLimit(NewSliceStream(insts), 7_777) },
-		"limit-nextonly":  func() Stream { return NewLimit(nextOnly{NewSliceStream(insts)}, 7_777) },
-		"adapter":         func() Stream { return nextOnly{NewSliceStream(insts)} },
-		"limit-overlong":  func() Stream { return NewLimit(NewSliceStream(insts), len(insts)+5) },
-		"nested-limit":    func() Stream { return NewLimit(NewLimit(NewSliceStream(insts), 9_000), 8_000) },
-		"limit-zero":      func() Stream { return NewLimit(NewSliceStream(insts), 0) },
-		"adapter-batched": func() Stream { return Batched(nextOnly{NewSliceStream(insts)}) },
+		"slice":          func() Stream { return NewSliceStream(insts) },
+		"limit-slice":    func() Stream { return NewLimit(NewSliceStream(insts), 7_777) },
+		"limit-onebyone": func() Stream { return NewLimit(oneByOne{NewSliceStream(insts)}, 7_777) },
+		"limit-overlong": func() Stream { return NewLimit(NewSliceStream(insts), len(insts)+5) },
+		"nested-limit":   func() Stream { return NewLimit(NewLimit(NewSliceStream(insts), 9_000), 8_000) },
+		"limit-zero":     func() Stream { return NewLimit(NewSliceStream(insts), 0) },
+		"reader": func() Stream {
+			r, err := NewReader(bytes.NewReader(recorded.Bytes()))
+			if err != nil {
+				panic(err)
+			}
+			return r
+		},
 	}
 	for name, mk := range shapes {
 		t.Run(name, func(t *testing.T) {
-			want := drainNext(mk())
+			want := drainOne(mk())
 			rng := rand.New(rand.NewSource(5))
 			for trial := 0; trial < 5; trial++ {
 				got := drainBatch(mk(), rng)
 				if len(got) != len(want) {
-					t.Fatalf("trial %d: %d insts via NextBatch, %d via Next", trial, len(got), len(want))
+					t.Fatalf("trial %d: %d insts in random chunks, %d one at a time", trial, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
@@ -62,24 +72,21 @@ func TestBatchedMatchesNext(t *testing.T) {
 	}
 }
 
-func drainNext(s Stream) []isa.Inst {
+func drainOne(s Stream) []isa.Inst {
 	var out []isa.Inst
-	for {
-		in, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, in)
+	var one [1]isa.Inst
+	for s.NextBatch(one[:]) == 1 {
+		out = append(out, one[0])
 	}
+	return out
 }
 
 func drainBatch(s Stream, rng *rand.Rand) []isa.Inst {
-	b := Batched(s)
 	var out []isa.Inst
 	buf := make([]isa.Inst, 512)
 	for {
 		n := 1 + rng.Intn(len(buf))
-		k := b.NextBatch(buf[:n])
+		k := s.NextBatch(buf[:n])
 		if k == 0 {
 			return out
 		}
@@ -87,28 +94,29 @@ func drainBatch(s Stream, rng *rand.Rand) []isa.Inst {
 	}
 }
 
-// TestBatchedMixedConsumption: interleaving Next and NextBatch on one
-// stream must still produce the underlying sequence exactly once.
+// TestBatchedMixedConsumption: interleaving Record, Fill and NextBatch
+// calls on one stream must still produce the underlying sequence exactly
+// once — none of them may read past what it returns.
 func TestBatchedMixedConsumption(t *testing.T) {
 	insts := synthetic(5_000)
-	b := Batched(NewLimit(NewSliceStream(insts), 4_000))
+	s := NewLimit(oneByOne{NewSliceStream(insts)}, 4_000)
 	rng := rand.New(rand.NewSource(9))
 	var out []isa.Inst
 	buf := make([]isa.Inst, 64)
 	for {
-		if rng.Intn(2) == 0 {
-			in, ok := b.Next()
-			if !ok {
-				break
-			}
-			out = append(out, in)
-		} else {
-			k := b.NextBatch(buf[:1+rng.Intn(64)])
-			if k == 0 {
-				break
-			}
-			out = append(out, buf[:k]...)
+		var got []isa.Inst
+		switch n := 1 + rng.Intn(64); rng.Intn(3) {
+		case 0:
+			got = Record(s, n)
+		case 1:
+			got = buf[:Fill(s, buf[:n])]
+		default:
+			got = buf[:s.NextBatch(buf[:n])]
 		}
+		if len(got) == 0 {
+			break
+		}
+		out = append(out, got...)
 	}
 	if len(out) != 4_000 {
 		t.Fatalf("drained %d insts, want 4000", len(out))
@@ -120,7 +128,7 @@ func TestBatchedMixedConsumption(t *testing.T) {
 	}
 }
 
-// TestRecordUsesWholeStream: Record must stop at either bound.
+// TestRecordBounds: Record must stop at either bound.
 func TestRecordBounds(t *testing.T) {
 	insts := synthetic(100)
 	if got := Record(NewSliceStream(insts), 40); len(got) != 40 {
@@ -129,7 +137,7 @@ func TestRecordBounds(t *testing.T) {
 	if got := Record(NewSliceStream(insts), 500); len(got) != 100 {
 		t.Fatalf("Record(.., 500) = %d insts", len(got))
 	}
-	if got := Record(nextOnly{NewSliceStream(insts)}, 500); len(got) != 100 {
-		t.Fatalf("Record(adapter, 500) = %d insts", len(got))
+	if got := Record(oneByOne{NewSliceStream(insts)}, 500); len(got) != 100 {
+		t.Fatalf("Record(one at a time, 500) = %d insts", len(got))
 	}
 }

@@ -61,9 +61,10 @@ func WriteTrace(w io.Writer, src Stream, n int, h Header) (int, error) {
 		return 0, fmt.Errorf("trace: writing header: %w", err)
 	}
 	var rec [recordBytes]byte
+	rd := NewBuffered(NewLimit(src, n), min(n, 4096))
 	written := 0
-	for written < n {
-		in, ok := src.Next()
+	for {
+		in, ok := rd.Next()
 		if !ok {
 			break
 		}
@@ -108,11 +109,30 @@ func decode(rec *[recordBytes]byte) isa.Inst {
 	}
 }
 
+// validate rejects record bytes no encoder writes: a class beyond the ISA,
+// a register that is neither architectural nor RegNone (the timing models
+// index register tables with it), or a taken byte other than 0 or 1.
+func validate(rec *[recordBytes]byte) error {
+	if c := rec[16]; int(c) >= isa.NumClasses {
+		return fmt.Errorf("class %d out of range", c)
+	}
+	for i, name := range [3]string{"src1", "src2", "dst"} {
+		if r := rec[17+i]; r >= isa.NumRegs && r != isa.RegNone {
+			return fmt.Errorf("%s register %d out of range", name, r)
+		}
+	}
+	if t := rec[28]; t > 1 {
+		return fmt.Errorf("taken byte %d is not 0 or 1", t)
+	}
+	return nil
+}
+
 // Reader replays a binary trace from an io.Reader. It implements Stream.
 type Reader struct {
-	br  *bufio.Reader
-	hdr Header
-	err error
+	br   *bufio.Reader
+	hdr  Header
+	read int // records decoded so far
+	err  error
 }
 
 // NewReader validates the trace header and returns a replaying Stream.
@@ -144,17 +164,27 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Header returns the provenance header recorded with the trace.
 func (r *Reader) Header() Header { return r.hdr }
 
-// Next implements Stream.
-func (r *Reader) Next() (isa.Inst, bool) {
-	if r.err != nil {
-		return isa.Inst{}, false
-	}
+// NextBatch implements Stream. It stops at the first truncated or invalid
+// record; Err then reports it.
+func (r *Reader) NextBatch(buf []isa.Inst) int {
 	var rec [recordBytes]byte
-	if _, err := io.ReadFull(r.br, rec[:]); err != nil {
-		r.err = err
-		return isa.Inst{}, false
+	n := 0
+	for ; n < len(buf) && r.err == nil; n++ {
+		if _, err := io.ReadFull(r.br, rec[:]); err == io.EOF {
+			r.err = err
+			break
+		} else if err != nil {
+			r.err = fmt.Errorf("trace: record %d: %w", r.read, err)
+			break
+		}
+		if err := validate(&rec); err != nil {
+			r.err = fmt.Errorf("trace: record %d: %w", r.read, err)
+			break
+		}
+		buf[n] = decode(&rec)
+		r.read++
 	}
-	return decode(&rec), true
+	return n
 }
 
 // Err returns the terminal error, nil on clean EOF.

@@ -7,63 +7,51 @@ package trace
 
 import "repro/internal/isa"
 
-// Stream produces a thread's dynamic instruction stream in program order.
+// Stream produces a thread's dynamic instruction stream in program order,
+// handed over in chunks: the per-instruction interface dispatch of a
+// one-at-a-time contract is measurable in the timing models' inner loops,
+// so consumers that buffer (the cores, the warmup loop) pull thousands of
+// instructions per call. Per-instruction consumers read through Buffered.
 type Stream interface {
-	// Next returns the next dynamic instruction. ok is false at the end
-	// of the stream; the instruction is then meaningless.
-	Next() (in isa.Inst, ok bool)
-}
-
-// BatchStream is a Stream that can additionally hand over instructions in
-// chunks. The per-instruction interface dispatch of Next is measurable in
-// the timing models' inner loops; consumers that buffer (the cores, the
-// warmup loop) pull thousands of instructions per call instead.
-type BatchStream interface {
-	Stream
 	// NextBatch fills buf with the next instructions of the stream, in
 	// program order, and returns how many were written. It returns 0 only
-	// at end-of-stream (for a non-empty buf). Mixing Next and NextBatch
-	// calls is allowed; both consume the same underlying stream.
+	// at end-of-stream (for a non-empty buf); a short count is allowed
+	// anywhere, so callers that need exactly len(buf) use Fill.
 	NextBatch(buf []isa.Inst) int
 }
 
-// Batched adapts any Stream to a BatchStream: native batch support is used
-// directly, legacy streams are wrapped in a Next loop.
-func Batched(s Stream) BatchStream {
-	if b, ok := s.(BatchStream); ok {
-		return b
-	}
-	return &nextBatcher{s: s}
-}
+// BatchStream is the former name of Stream, kept for compatibility: the
+// benchmark harness (perfbench/layers.go) still names it.
+type BatchStream = Stream
 
-// nextBatcher is the legacy-stream adapter behind Batched.
-type nextBatcher struct{ s Stream }
+// Batched returns s unchanged, since every Stream is batch-native. It is
+// kept for compatibility: the benchmark harness (perfbench/layers.go)
+// still calls it.
+func Batched(s Stream) Stream { return s }
 
-// Next implements Stream.
-func (a *nextBatcher) Next() (isa.Inst, bool) { return a.s.Next() }
-
-// NextBatch implements BatchStream by looping Next.
-func (a *nextBatcher) NextBatch(buf []isa.Inst) int {
+// Fill reads from src until buf is full or the stream ends and returns
+// how many instructions were written.
+func Fill(src Stream, buf []isa.Inst) int {
 	n := 0
 	for n < len(buf) {
-		in, ok := a.s.Next()
-		if !ok {
+		k := src.NextBatch(buf[n:])
+		if k == 0 {
 			break
 		}
-		buf[n] = in
-		n++
+		n += k
 	}
 	return n
 }
 
-// Buffered adapts a stream for per-instruction consumers that want the
-// batched hand-off without managing a chunk buffer themselves: Next is a
-// direct (devirtualized) method call that refills from the underlying
-// stream one chunk at a time. The one-IPC and detailed cores read through
-// it; the interval core has its own ring because its window aliases the
-// buffer.
+// Buffered is the per-instruction reader over a Stream, for consumers
+// that take one instruction at a time without managing a chunk buffer
+// themselves: Next is a direct (devirtualized) method call that refills
+// from the underlying stream one chunk at a time. The one-IPC and
+// detailed cores read through it; the interval core has its own ring
+// because its window aliases the buffer. A Buffered reads ahead by up to
+// one chunk, so it must be the stream's last consumer.
 type Buffered struct {
-	b    BatchStream
+	b    Stream
 	buf  []isa.Inst
 	pos  int
 	n    int
@@ -75,7 +63,7 @@ func NewBuffered(s Stream, size int) *Buffered {
 	if size < 1 {
 		size = 1
 	}
-	return &Buffered{b: Batched(s), buf: make([]isa.Inst, size)}
+	return &Buffered{b: s, buf: make([]isa.Inst, size)}
 }
 
 // Next returns the next instruction, refilling the chunk buffer as needed.
@@ -108,17 +96,7 @@ func NewSliceStream(insts []isa.Inst) *SliceStream {
 	return &SliceStream{insts: insts}
 }
 
-// Next implements Stream.
-func (s *SliceStream) Next() (isa.Inst, bool) {
-	if s.pos >= len(s.insts) {
-		return isa.Inst{}, false
-	}
-	in := s.insts[s.pos]
-	s.pos++
-	return in, true
-}
-
-// NextBatch implements BatchStream with one bulk copy.
+// NextBatch implements Stream with one bulk copy.
 func (s *SliceStream) NextBatch(buf []isa.Inst) int {
 	n := copy(buf, s.insts[s.pos:])
 	s.pos += n
@@ -131,44 +109,23 @@ func (s *SliceStream) Reset() { s.pos = 0 }
 // Record drains up to n instructions from src into a slice, so one
 // generated stream can be replayed into several simulators.
 func Record(src Stream, n int) []isa.Inst {
-	out := make([]isa.Inst, 0, n)
-	b := Batched(src)
-	for len(out) < n {
-		k := b.NextBatch(out[len(out):n])
-		if k == 0 {
-			break
-		}
-		out = out[:len(out)+k]
-	}
-	return out
+	out := make([]isa.Inst, n)
+	return out[:Fill(src, out)]
 }
 
 // Limit wraps a stream and ends it after n instructions.
 type Limit struct {
-	src   Stream
-	batch BatchStream
-	left  int
+	src  Stream
+	left int
 }
 
 // NewLimit creates a stream that yields at most n instructions from src.
 func NewLimit(src Stream, n int) *Limit {
-	return &Limit{src: src, batch: Batched(src), left: n}
+	return &Limit{src: src, left: n}
 }
 
-// Next implements Stream.
-func (l *Limit) Next() (isa.Inst, bool) {
-	if l.left <= 0 {
-		return isa.Inst{}, false
-	}
-	in, ok := l.src.Next()
-	if ok {
-		l.left--
-	}
-	return in, ok
-}
-
-// NextBatch implements BatchStream, clamping the chunk to the remaining
-// budget.
+// NextBatch implements Stream, clamping the chunk to the remaining
+// budget so the source is never read past it.
 func (l *Limit) NextBatch(buf []isa.Inst) int {
 	if l.left <= 0 {
 		return 0
@@ -177,7 +134,7 @@ func (l *Limit) NextBatch(buf []isa.Inst) int {
 	if n > l.left {
 		n = l.left
 	}
-	k := l.batch.NextBatch(buf[:n])
+	k := l.src.NextBatch(buf[:n])
 	l.left -= k
 	return k
 }

@@ -21,45 +21,34 @@ func insts(n int) []isa.Inst {
 
 func TestSliceStreamReplaysInOrder(t *testing.T) {
 	s := NewSliceStream(insts(5))
-	for i := 0; i < 5; i++ {
-		in, ok := s.Next()
-		if !ok || in.Seq != uint64(i) {
-			t.Fatalf("pos %d: (%v,%t)", i, in.Seq, ok)
+	got := Record(s, 10)
+	if len(got) != 5 {
+		t.Fatalf("replayed %d insts, want 5", len(got))
+	}
+	for i, in := range got {
+		if in.Seq != uint64(i) {
+			t.Fatalf("pos %d: Seq %d", i, in.Seq)
 		}
 	}
-	if _, ok := s.Next(); ok {
+	if s.NextBatch(make([]isa.Inst, 1)) != 0 {
 		t.Fatal("stream did not end")
 	}
 	s.Reset()
-	if in, ok := s.Next(); !ok || in.Seq != 0 {
+	if in := Record(s, 1); len(in) != 1 || in[0].Seq != 0 {
 		t.Fatal("Reset did not rewind")
 	}
 }
 
 func TestLimitEndsEarly(t *testing.T) {
 	s := NewLimit(NewSliceStream(insts(10)), 3)
-	n := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 {
+	if n := len(Record(s, 100)); n != 3 {
 		t.Fatalf("limit yielded %d, want 3", n)
 	}
 }
 
 func TestLimitShorterSource(t *testing.T) {
 	s := NewLimit(NewSliceStream(insts(2)), 5)
-	n := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 {
+	if n := len(Record(s, 100)); n != 2 {
 		t.Fatalf("limit yielded %d, want 2 (source shorter)", n)
 	}
 }
@@ -115,14 +104,14 @@ func TestTraceRoundTrip(t *testing.T) {
 	if h := r.Header(); h.StreamVersion != 3 || h.Slot != 3 {
 		t.Fatalf("header did not round-trip: %+v", h)
 	}
-	for i, want := range src {
-		got, ok := r.Next()
-		if !ok || got != want {
-			t.Fatalf("record %d: got %+v want %+v (ok=%t)", i, got, want, ok)
-		}
+	got := Record(r, 10)
+	if len(got) != len(src) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(src))
 	}
-	if _, ok := r.Next(); ok {
-		t.Fatal("trace did not end")
+	for i, want := range src {
+		if got[i] != want {
+			t.Fatalf("record %d: got %+v want %+v", i, got[i], want)
+		}
 	}
 	if r.Err() != nil {
 		t.Fatalf("terminal error: %v", r.Err())
@@ -170,12 +159,20 @@ func TestTraceLimitsWrites(t *testing.T) {
 	}
 }
 
-// Property: encode/decode round-trips arbitrary instruction records.
+// Property: encode/decode round-trips arbitrary valid instruction records.
 func TestQuickTraceRoundTrip(t *testing.T) {
+	// reg maps any byte onto a valid operand: an architectural register
+	// or RegNone.
+	reg := func(b uint8) uint8 {
+		if r := b % (isa.NumRegs + 1); r < isa.NumRegs {
+			return r
+		}
+		return isa.RegNone
+	}
 	f := func(seq, pc, addr, target uint64, class, s1, s2, d uint8, taken bool, id uint16) bool {
 		in := isa.Inst{
 			Seq: seq, PC: pc, Class: isa.Class(class % uint8(isa.NumClasses)),
-			Src1: s1, Src2: s2, Dst: d, Addr: addr, Taken: taken,
+			Src1: reg(s1), Src2: reg(s2), Dst: reg(d), Addr: addr, Taken: taken,
 			Target: target, SyncID: id,
 		}
 		var buf bytes.Buffer
@@ -186,8 +183,8 @@ func TestQuickTraceRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, ok := r.Next()
-		return ok && got == in
+		got := Record(r, 2)
+		return len(got) == 1 && got[0] == in && r.Err() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

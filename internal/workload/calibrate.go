@@ -120,20 +120,17 @@ func programSalt(p *Profile) uint64 {
 // state probe sequential segments of the same total length instead.
 func probeWorstDev(p *Profile, salt uint64) float64 {
 	g := newSlotSalted(p, 0, 1, calSeed, 0, salt)
-	frac := func(n int) (float64, bool) {
-		var branches, total uint64
-		for i := 0; i < n; i++ {
-			in, ok := g.Next()
-			if !ok {
-				break
-			}
-			total++
-			if in.Class == isa.Branch {
-				branches++
-			}
-		}
+	buf := make([]isa.Inst, calPerPhase)
+	frac := func() (float64, bool) {
+		total := g.NextBatch(buf)
 		if total == 0 {
 			return 0, false
+		}
+		branches := 0
+		for i := range buf[:total] {
+			if buf[i].Class == isa.Branch {
+				branches++
+			}
 		}
 		return float64(branches) / float64(total), true
 	}
@@ -145,7 +142,7 @@ func probeWorstDev(p *Profile, salt uint64) float64 {
 				break
 			}
 		}
-		f, ok := frac(calPerPhase)
+		f, ok := frac()
 		if !ok {
 			break
 		}

@@ -501,7 +501,7 @@ func (g *Generator) Skippable() bool {
 }
 
 // SkipTo positions the stream at position n: the next instruction
-// returned by Next carries Seq n, and the stream from here on is
+// returned by NextBatch carries Seq n, and the stream from here on is
 // byte-identical to generating n instructions from a fresh generator
 // and discarding them — the core v3 contract, fuzz-tested in
 // FuzzSkipAhead. For Skippable streams the cost is O(1): the enclosing
@@ -514,11 +514,7 @@ func (g *Generator) SkipTo(n uint64) error {
 		if n < g.seq {
 			return fmt.Errorf("workload: SkipTo(%d) backward from %d: stream %q has synchronization state and only skips forward", n, g.seq, g.p.Name)
 		}
-		for g.seq < n {
-			if _, ok := g.Next(); !ok {
-				break
-			}
-		}
+		g.discardTo(n)
 		return nil
 	}
 	chunk := n / ChunkLen
@@ -533,11 +529,7 @@ func (g *Generator) SkipTo(n uint64) error {
 			g.budget = g.initialBudget - g.seq
 		}
 	}
-	for g.seq < n {
-		if _, ok := g.Next(); !ok {
-			break
-		}
-	}
+	g.discardTo(n)
 	return nil
 }
 
@@ -617,47 +609,51 @@ func clearSiteCounts(prog *program) {
 	}
 }
 
-// Next implements trace.Stream.
-func (g *Generator) Next() (isa.Inst, bool) {
-	if len(g.pendingSync) > 0 {
-		in := g.pendingSync[0]
-		g.pendingSync = g.pendingSync[1:]
+// NextBatch implements trace.Stream: it synthesizes instructions straight
+// into buf until it is full or the budget ends.
+func (g *Generator) NextBatch(buf []isa.Inst) int {
+	for n := range buf {
+		in := &buf[n]
+		if len(g.pendingSync) > 0 {
+			*in = g.pendingSync[0]
+			g.pendingSync = g.pendingSync[1:]
+			in.Seq = g.seq
+			g.seq++
+			g.Emitted++
+			continue
+		}
+		if g.budget == 0 {
+			return n
+		}
+		if g.seq >= g.nextReset {
+			g.resetChunk(g.seq / ChunkLen)
+		}
+		g.budget--
+
+		// Position the counter-based RNG on this instruction's draw window.
+		g.rng.ctr = g.seq * drawStride
+		*in = g.synthesize()
 		in.Seq = g.seq
 		g.seq++
 		g.Emitted++
-		return in, true
+		g.accountSync(in)
 	}
-	if g.budget == 0 {
-		return isa.Inst{}, false
-	}
-	if g.seq >= g.nextReset {
-		g.resetChunk(g.seq / ChunkLen)
-	}
-	g.budget--
-
-	// Position the counter-based RNG on this instruction's draw window.
-	g.rng.ctr = g.seq * drawStride
-	in := g.synthesize()
-	in.Seq = g.seq
-	g.seq++
-	g.Emitted++
-	g.accountSync(&in)
-	return in, true
+	return len(buf)
 }
 
-// NextBatch implements trace.BatchStream: the same stream as Next, produced
-// through direct (devirtualized) calls per chunk.
-func (g *Generator) NextBatch(buf []isa.Inst) int {
-	n := 0
-	for n < len(buf) {
-		in, ok := g.Next()
-		if !ok {
-			break
+// discardTo generates and drops instructions until the stream reaches
+// position n or ends.
+func (g *Generator) discardTo(n uint64) {
+	var buf [256]isa.Inst
+	for g.seq < n {
+		k := n - g.seq
+		if k > uint64(len(buf)) {
+			k = uint64(len(buf))
 		}
-		buf[n] = in
-		n++
+		if g.NextBatch(buf[:k]) == 0 {
+			return
+		}
 	}
-	return n
 }
 
 // accountSync updates barrier/lock bookkeeping after emitting in and queues

@@ -11,13 +11,14 @@ import (
 
 func TestDeterminism(t *testing.T) {
 	p := SPECByName("gcc")
-	a := New(p, 0, 1, 42)
-	b := New(p, 0, 1, 42)
-	for i := 0; i < 10_000; i++ {
-		x, okA := a.Next()
-		y, okB := b.Next()
-		if okA != okB || x != y {
-			t.Fatalf("streams diverge at %d: %v vs %v", i, x, y)
+	a := trace.Record(New(p, 0, 1, 42), 10_000)
+	b := trace.Record(New(p, 0, 1, 42), 10_000)
+	if len(a) != len(b) {
+		t.Fatalf("streams end at different points: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("streams diverge at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 }
@@ -30,11 +31,7 @@ func TestDifferentSeedsSameStaticProgram(t *testing.T) {
 	// PC sets and require heavy overlap (identical CFG, different paths).
 	pcs := func(g *Generator) map[uint64]bool {
 		set := map[uint64]bool{}
-		for i := 0; i < 20_000; i++ {
-			in, ok := g.Next()
-			if !ok {
-				break
-			}
+		for _, in := range trace.Record(g, 20_000) {
 			set[in.PC] = true
 		}
 		return set
@@ -58,11 +55,7 @@ func TestMixApproximatelyHonored(t *testing.T) {
 	p := SPECByName("gcc")
 	g := New(p, 0, 1, 42)
 	var st trace.Stats
-	for i := 0; i < 100_000; i++ {
-		in, ok := g.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Record(g, 100_000) {
 		st.Observe(&in)
 	}
 	// Loads: profile says 26% of non-branch instructions.
@@ -79,11 +72,7 @@ func TestMixApproximatelyHonored(t *testing.T) {
 func TestBranchTargetsConsistent(t *testing.T) {
 	p := SPECByName("bzip2")
 	g := New(p, 0, 1, 42)
-	for i := 0; i < 50_000; i++ {
-		in, ok := g.Next()
-		if !ok {
-			break
-		}
+	for i, in := range trace.Record(g, 50_000) {
 		if in.Class.IsBranch() && in.Taken && in.Target == 0 {
 			t.Fatalf("taken branch with zero target at %d", i)
 		}
@@ -93,11 +82,7 @@ func TestBranchTargetsConsistent(t *testing.T) {
 func TestRegistersInRange(t *testing.T) {
 	p := SPECByName("mcf")
 	g := New(p, 0, 1, 42)
-	for i := 0; i < 50_000; i++ {
-		in, ok := g.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Record(g, 50_000) {
 		for _, r := range []uint8{in.Src1, in.Src2, in.Dst} {
 			if r != isa.RegNone && r >= isa.NumRegs {
 				t.Fatalf("register %d out of range", r)
@@ -112,11 +97,7 @@ func TestThreadsPrivateRegionsDisjoint(t *testing.T) {
 	b := New(p, 1, 4, 42)
 	seen := map[uint64]int{}
 	collect := func(g *Generator, id int) {
-		for i := 0; i < 30_000; i++ {
-			in, ok := g.Next()
-			if !ok {
-				break
-			}
+		for _, in := range trace.Record(g, 30_000) {
 			if in.Class.IsMem() {
 				seen[in.Addr>>24] |= 1 << id
 			}
@@ -143,11 +124,7 @@ func TestSharedRegionVisibleToAllThreads(t *testing.T) {
 	addrsIn := func(thread int) map[uint64]bool {
 		g := New(p, thread, 2, 42)
 		set := map[uint64]bool{}
-		for i := 0; i < 60_000; i++ {
-			in, ok := g.Next()
-			if !ok {
-				break
-			}
+		for _, in := range trace.Record(g, 60_000) {
 			if in.Class.IsMem() {
 				set[in.Addr>>30] = true
 			}
@@ -171,8 +148,9 @@ func TestBarrierCountsMatchAcrossThreads(t *testing.T) {
 	counts := make([]int, 4)
 	for th := 0; th < 4; th++ {
 		g := New(p, th, 4, 42)
+		rd := trace.NewBuffered(g, 1024)
 		for {
-			in, ok := g.Next()
+			in, ok := rd.Next()
 			if !ok {
 				break
 			}
@@ -196,8 +174,9 @@ func TestLocksBalanced(t *testing.T) {
 	g := New(p, 0, 2, 42)
 	depth := 0
 	var acquires, releases int
+	rd := trace.NewBuffered(g, 1024)
 	for {
-		in, ok := g.Next()
+		in, ok := rd.Next()
 		if !ok {
 			break
 		}
@@ -224,16 +203,19 @@ func TestLocksBalanced(t *testing.T) {
 	}
 }
 
+// drain runs g to the end of its budget.
+func drain(g *Generator) {
+	buf := make([]isa.Inst, 4096)
+	for g.NextBatch(buf) > 0 {
+	}
+}
+
 func TestTotalWorkSplit(t *testing.T) {
 	p := PARSECByName("swaptions")
 	var total uint64
 	for th := 0; th < 4; th++ {
 		g := New(p, th, 4, 42)
-		for {
-			if _, ok := g.Next(); !ok {
-				break
-			}
-		}
+		drain(g)
 		total += g.Emitted
 	}
 	// Within a few percent of TotalWork (sync instructions add a little).
@@ -248,11 +230,7 @@ func TestSerialFracLimitsScaling(t *testing.T) {
 	work := func(threads int) (max uint64) {
 		for th := 0; th < threads; th++ {
 			g := New(p, th, threads, 42)
-			for {
-				if _, ok := g.Next(); !ok {
-					break
-				}
-			}
+			drain(g)
 			if g.Emitted > max {
 				max = g.Emitted
 			}
@@ -321,10 +299,12 @@ func TestQuickStreamWellFormed(t *testing.T) {
 	profiles := SPEC()
 	f := func(pi uint8, seed int64) bool {
 		p := profiles[int(pi)%len(profiles)]
-		g := New(&p, 0, 1, seed)
-		for i := 0; i < 2000; i++ {
-			in, ok := g.Next()
-			if !ok || in.Seq != uint64(i) {
+		insts := trace.Record(New(&p, 0, 1, seed), 2000)
+		if len(insts) != 2000 {
+			return false
+		}
+		for i, in := range insts {
+			if in.Seq != uint64(i) {
 				return false
 			}
 			if int(in.Class) >= isa.NumClasses {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // streamHash is FNV-64a over the formatted instructions, the same
@@ -11,11 +13,7 @@ import (
 func streamHash(p *Profile, seed int64, slot int, n int) uint64 {
 	g := NewSlot(p, 0, 1, seed, slot)
 	h := fnv.New64a()
-	for i := 0; i < n; i++ {
-		in, ok := g.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Record(g, n) {
 		fmt.Fprintf(h, "%+v|", in)
 	}
 	return h.Sum64()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // skipMatches asserts the core v3 contract: SkipTo(n) followed by m
@@ -13,23 +14,19 @@ func skipMatches(t testing.TB, p *Profile, seed int64, slot int, n uint64, m int
 	t.Helper()
 	a := NewSlot(p, 0, 1, seed, slot)
 	b := NewSlot(p, 0, 1, seed, slot)
-	for i := uint64(0); i < n; i++ {
-		if _, ok := a.Next(); !ok {
-			break
-		}
-	}
+	a.discardTo(n)
 	if err := b.SkipTo(n); err != nil {
 		t.Fatalf("%s seed=%d slot=%d SkipTo(%d): %v", p.Name, seed, slot, n, err)
 	}
-	for i := 0; i < m; i++ {
-		x, okA := a.Next()
-		y, okB := b.Next()
-		if okA != okB || x != y {
-			t.Fatalf("%s seed=%d slot=%d: stream diverges %d after SkipTo(%d):\nstraight: %+v (ok=%v)\nskipped:  %+v (ok=%v)",
-				p.Name, seed, slot, i, n, x, okA, y, okB)
-		}
-		if !okA {
-			break
+	xs, ys := trace.Record(a, m), trace.Record(b, m)
+	if len(xs) != len(ys) {
+		t.Fatalf("%s seed=%d slot=%d: after SkipTo(%d) the straight stream ends after %d insts, the skipped one after %d",
+			p.Name, seed, slot, n, len(xs), len(ys))
+	}
+	for i := range xs {
+		if xs[i] != ys[i] {
+			t.Fatalf("%s seed=%d slot=%d: stream diverges %d after SkipTo(%d):\nstraight: %+v\nskipped:  %+v",
+				p.Name, seed, slot, i, n, xs[i], ys[i])
 		}
 	}
 }
@@ -73,11 +70,11 @@ func TestSkipToIsO1(t *testing.T) {
 	if err := g.SkipTo(target); err != nil {
 		t.Fatal(err)
 	}
-	in, ok := g.Next()
-	if !ok {
+	next := trace.Record(g, 1)
+	if len(next) == 0 {
 		t.Fatal("stream ended after skip")
 	}
-	if in.Seq != target {
+	if in := next[0]; in.Seq != target {
 		t.Fatalf("Seq after SkipTo(%d) = %d", target, in.Seq)
 	}
 }
@@ -86,27 +83,22 @@ func TestSkipToIsO1(t *testing.T) {
 // pure function of position); synchronization streams must refuse.
 func TestSkipToBackward(t *testing.T) {
 	g := New(SPECByName("gcc"), 0, 1, 42)
-	for i := 0; i < 3*ChunkLen; i++ {
-		g.Next()
-	}
+	g.discardTo(3 * ChunkLen)
 	if err := g.SkipTo(10); err != nil {
 		t.Fatal(err)
 	}
 	want := New(SPECByName("gcc"), 0, 1, 42)
 	want.SkipTo(10)
-	for i := 0; i < 100; i++ {
-		x, _ := g.Next()
-		y, _ := want.Next()
-		if x != y {
+	xs, ys := trace.Record(g, 100), trace.Record(want, 100)
+	for i := range ys {
+		if xs[i] != ys[i] {
 			t.Fatalf("backward skip diverges at %d", i)
 		}
 	}
 
 	s := PARSECByName("streamcluster")
 	h := New(s, 0, 2, 42)
-	for i := 0; i < 100; i++ {
-		h.Next()
-	}
+	h.discardTo(100)
 	if err := h.SkipTo(5); err == nil {
 		t.Fatal("backward skip on a synchronization stream succeeded")
 	}
@@ -120,10 +112,10 @@ func TestDrawBudget(t *testing.T) {
 	for i := range profiles {
 		p := &profiles[i]
 		g := New(p, 0, 2, 42)
+		var one [1]isa.Inst
 		for i := 0; i < 50_000; i++ {
 			before := g.seq
-			_, ok := g.Next()
-			if !ok {
+			if g.NextBatch(one[:]) == 0 {
 				break
 			}
 			if g.rng.ctr < before*drawStride {
@@ -140,12 +132,11 @@ func TestDrawBudget(t *testing.T) {
 // stream positions, and the instructions straddling them must stay
 // valid (dense Seq, in-range classes, nonzero memory addresses).
 func TestChunkResetKeepsStreamWellFormed(t *testing.T) {
-	g := New(SPECByName("gcc"), 0, 1, 42)
-	for i := 0; i < 3*ChunkLen; i++ {
-		in, ok := g.Next()
-		if !ok {
-			t.Fatal("stream ended")
-		}
+	insts := trace.Record(New(SPECByName("gcc"), 0, 1, 42), 3*ChunkLen)
+	if len(insts) != 3*ChunkLen {
+		t.Fatal("stream ended")
+	}
+	for i, in := range insts {
 		if in.Seq != uint64(i) {
 			t.Fatalf("Seq %d at position %d", in.Seq, i)
 		}

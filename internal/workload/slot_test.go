@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // shiftSlot applies the slot-k address transform to a slot-0 instruction:
@@ -24,13 +25,14 @@ func shiftSlot(in isa.Inst, slot int) isa.Inst {
 // changes nothing for single-program streams.
 func TestSlotZeroIsNew(t *testing.T) {
 	p := SPECByName("gcc")
-	a := New(p, 0, 1, 42)
-	b := NewSlot(p, 0, 1, 42, 0)
-	for i := 0; i < 20_000; i++ {
-		ia, oka := a.Next()
-		ib, okb := b.Next()
-		if oka != okb || ia != ib {
-			t.Fatalf("inst %d: slot-0 stream differs from New: %+v vs %+v", i, ia, ib)
+	a := trace.Record(New(p, 0, 1, 42), 20_000)
+	b := trace.Record(NewSlot(p, 0, 1, 42, 0), 20_000)
+	if len(a) != len(b) {
+		t.Fatalf("slot-0 stream has %d insts, New %d", len(b), len(a))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("inst %d: slot-0 stream differs from New: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -45,32 +47,25 @@ func TestSlotStreamsBitIdentical(t *testing.T) {
 	// (SystemFrac) program and sync instructions.
 	for _, name := range []string{"gcc", "mcf"} {
 		p := SPECByName(name)
-		base := New(p, 0, 1, 42)
-		at := NewSlot(p, 0, 1, 42, 5)
-		for i := 0; i < 20_000; i++ {
-			ib, okb := base.Next()
-			is, oks := at.Next()
-			if okb != oks {
-				t.Fatalf("%s inst %d: streams end at different points", name, i)
-			}
-			if want := shiftSlot(ib, 5); is != want {
+		base := trace.Record(New(p, 0, 1, 42), 20_000)
+		at := trace.Record(NewSlot(p, 0, 1, 42, 5), 20_000)
+		if len(base) != len(at) {
+			t.Fatalf("%s: streams end at different points (%d vs %d)", name, len(base), len(at))
+		}
+		for i, ib := range base {
+			if is, want := at[i], shiftSlot(ib, 5); is != want {
 				t.Fatalf("%s inst %d: slot stream diverged beyond the offset:\ngot  %+v\nwant %+v", name, i, is, want)
 			}
 		}
 	}
 	p := PARSECByName("blackscholes")
-	base := New(p, 1, 4, 42)
-	at := NewSlot(p, 1, 4, 42, 3)
-	for i := 0; i < 20_000; i++ {
-		ib, okb := base.Next()
-		is, oks := at.Next()
-		if okb != oks {
-			t.Fatalf("blackscholes inst %d: streams end at different points (base=%t slot=%t)", i, okb, oks)
-		}
-		if !okb {
-			break
-		}
-		if want := shiftSlot(ib, 3); is != want {
+	base := trace.Record(New(p, 1, 4, 42), 20_000)
+	at := trace.Record(NewSlot(p, 1, 4, 42, 3), 20_000)
+	if len(base) != len(at) {
+		t.Fatalf("blackscholes: streams end at different points (base=%d slot=%d)", len(base), len(at))
+	}
+	for i, ib := range base {
+		if is, want := at[i], shiftSlot(ib, 3); is != want {
 			t.Fatalf("blackscholes inst %d: slot stream diverged beyond the offset:\ngot  %+v\nwant %+v", i, is, want)
 		}
 	}
@@ -99,11 +94,7 @@ func TestSlotAddressSpacesDisjoint(t *testing.T) {
 	lines := func(name string, slot int) map[uint64]bool {
 		g := NewSlot(SPECByName(name), 0, 1, 42+int64(slot), slot)
 		out := map[uint64]bool{}
-		for i := 0; i < 50_000; i++ {
-			in, ok := g.Next()
-			if !ok {
-				break
-			}
+		for _, in := range trace.Record(g, 50_000) {
 			out[in.PC>>6] = true
 			if in.Class.IsMem() {
 				out[in.Addr>>6] = true
